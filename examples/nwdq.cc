@@ -16,8 +16,8 @@
 //               --answer-threads 8                    # batched serving
 //
 // --explain prints the LNF normal form the engine enumerates from;
-// --dump-program prints the flat bytecode the engine compiled it to (or
-// the reason compilation was skipped), then exits.
+// --dump-program prints the flat bytecode the engine compiled it to (a
+// fallback engine has none), then exits.
 //
 // --metrics-json / --metrics-prom / --trace-json enable the observability
 // layer and write its artifacts when the run finishes: a metrics snapshot
@@ -440,11 +440,8 @@ int main(int argc, char** argv) {
     if (engine.compiled_query() != nullptr) {
       std::printf("%s", engine.compiled_query()->Disassemble().c_str());
     } else {
-      const std::string& reason = engine.stats().not_compiled_reason;
-      std::printf("no compiled program (%s)\n",
-                  !reason.empty()          ? reason.c_str()
-                  : engine.used_fallback() ? "fallback engine has no LNF"
-                                           : "unknown");
+      // Only fallback engines run without a program.
+      std::printf("no compiled program (fallback engine has no LNF)\n");
     }
     return 0;
   }

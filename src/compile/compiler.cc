@@ -16,8 +16,8 @@ constexpr int64_t kNoUpper = std::numeric_limits<int64_t>::max();
 
 // Truth value of a color test that folds to a graph-wide constant;
 // kUnknown when the color is genuinely data-dependent. Out-of-range colors
-// are left unfolded so the emitted branch evaluates exactly the
-// interpreter's HasColor call.
+// are left unfolded so the emitted branch evaluates the graph's own
+// HasColor answer for them.
 enum class Fold { kUnknown, kFalse, kTrue };
 
 Fold FoldColor(const ColoredGraph& g, int color) {
@@ -358,13 +358,12 @@ std::unique_ptr<CompiledQuery> Compile(const Lnf& lnf, const ColoredGraph& g,
   const int k = lnf.arity;
 
   // The fusion pass leans on bound monotonicity over non-negative
-  // distances; a negative bound (always-false atom with oracle semantics
-  // the pass must not guess) sends the query back to the interpreter.
+  // distances. fo::DistLeq folds a negative bound to False, so no LNF
+  // distance atom carries one.
   for (const LnfCase& c : lnf.cases) {
     for (const LnfLiteral& lit : c.literals) {
-      if (lit.atom.kind == LnfAtom::Kind::kDist && lit.atom.dist_bound < 0 &&
-          lit.atom.pos1 != lit.atom.pos2) {
-        return nullptr;
+      if (lit.atom.kind == LnfAtom::Kind::kDist) {
+        NWD_CHECK_GE(lit.atom.dist_bound, 0) << "negative distance bound";
       }
     }
   }

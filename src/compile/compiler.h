@@ -18,17 +18,17 @@ namespace compile {
 // Per-case inputs the lowering borrows from the engine's prepared
 // structures (both must outlive the program): the candidate-list id per
 // fresh position (-1 elsewhere) and the materialized extendable first
-// coordinates.
+// coordinates. Only the list ids are read at lowering time; the
+// extendable vector is borrowed by address and may still be empty.
 struct CaseInputs {
   const std::vector<int>* list_index = nullptr;
   const std::vector<Vertex>* extendable0 = nullptr;
 };
 
 // Compiles the decomposition. `inputs` is parallel to lnf.cases. Requires
-// lnf.supported and lnf.arity >= 2 (the engine's LNF-mode preconditions).
-// Returns nullptr for the rare shapes the lowering declines (a negative
-// distance bound, whose oracle semantics the fusion pass must not assume);
-// the caller then stays on the interpreter.
+// lnf.supported and lnf.arity >= 2 (the engine's LNF-mode preconditions)
+// and non-negative distance bounds, which fo::DistLeq guarantees by
+// folding a negative bound to False. Never returns null.
 std::unique_ptr<CompiledQuery> Compile(const Lnf& lnf, const ColoredGraph& g,
                                        const std::vector<CaseInputs>& inputs);
 

@@ -5,6 +5,7 @@
 #include <span>
 
 #include "obs/metrics.h"
+#include "util/budget.h"
 #include "util/fault_injection.h"
 
 namespace nwd {
@@ -20,9 +21,9 @@ namespace {
 #define NWD_COMPILE_COMPUTED_GOTO 0
 #endif
 
-// Candidate validation for the find ops: the fused per-position checks,
-// pointwise equivalent to the interpreter's UnaryOk +
-// ConsistentWithEarlier conjunction.
+// Candidate validation for the find ops: the fused per-position checks —
+// the position's unary colors plus its tau distances and binary literals
+// against the earlier registers.
 inline bool RunChecks(const Check* checks, int32_t count, Vertex v,
                       const Vertex* regs, const ExecEnv& env) {
   for (int32_t i = 0; i < count; ++i) {
@@ -47,10 +48,13 @@ inline bool RunChecks(const Check* checks, int32_t count, Vertex v,
   return true;
 }
 
-// The Case II anchor ball through the per-probe cache, with exactly the
-// interpreter's semantics: the answer/ball_cache fault point bypasses
-// both the lookup and the insert, and the hit/miss counters feed the same
-// per-context fields. Answer-time execution is never budgeted.
+// The Case II anchor ball through the per-probe cache. The
+// answer/ball_cache fault point bypasses both the lookup and the insert
+// (forcing the fresh-BFS route without changing any answer), and the
+// hit/miss counters feed the context's fields. A fresh BFS is charged to
+// ctx->budget, which only the extendable descents set (answer-time
+// execution is never budgeted); a charge that trips the budget yields an
+// empty ball, and the descent unwinds at its next backtrack.
 inline std::span<const Vertex> AnchorBall(const ExecEnv& env, int radius,
                                           Vertex anchor, ProbeContext* ctx) {
   std::span<const Vertex> ball;
@@ -62,8 +66,13 @@ inline std::span<const Vertex> AnchorBall(const ExecEnv& env, int radius,
   ctx->ball_cache_misses.fetch_add(1, std::memory_order_relaxed);
   ctx->scratch.NeighborhoodInto(*env.graph, anchor, radius,
                                 &ctx->ball_scratch);
-  return skip_cache ? std::span<const Vertex>(ctx->ball_scratch)
+  ball = skip_cache ? std::span<const Vertex>(ctx->ball_scratch)
                     : ctx->balls.Insert(anchor, ctx->ball_scratch);
+  if (ctx->budget != nullptr &&
+      !ctx->budget->ChargeWork(static_cast<int64_t>(ball.size()))) {
+    return {};
+  }
+  return ball;
 }
 
 template <bool kCount>
@@ -155,7 +164,9 @@ bool ExecTestImpl(const CompiledQuery& q, const ExecEnv& env, const Vertex* t,
 #undef NWD_DISPATCH
 }
 
-template <bool kCount>
+// kExtend selects the pinned-first-coordinate descent (ExecExtendCase):
+// backtracking into position 0 ends it, and so does a tripped budget.
+template <bool kCount, bool kExtend>
 bool ExecNextImpl(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
                   const Vertex* from, ProbeContext* ctx) {
   const Insn* code = q.next_code.data();
@@ -294,6 +305,11 @@ bool ExecNextImpl(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
       NWD_OPCASE(kBump) {
         const Insn& insn = code[pc];
         const int p = insn.a;
+        if constexpr (kExtend) {
+          if (p == 0 || (ctx->budget != nullptr && ctx->budget->Exceeded())) {
+            return false;
+          }
+        }
         minval[p] = regs[p] + 1;
         pc = insn.succ;
         NWD_DISPATCH();
@@ -320,6 +336,15 @@ bool ExecNextImpl(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
 #undef NWD_DISPATCH
 }
 
+void EnsureDescentScratch(const CompiledQuery& q, ProbeContext* ctx) {
+  const size_t k = static_cast<size_t>(q.arity);
+  if (ctx->next_minval.size() < k) {
+    ctx->next_minval.resize(k);
+    ctx->next_tin.resize(k);
+    ctx->next_ct.resize(k);
+  }
+}
+
 }  // namespace
 
 bool ExecTest(const CompiledQuery& q, const ExecEnv& env, const Tuple& tuple,
@@ -334,17 +359,25 @@ bool ExecTest(const CompiledQuery& q, const ExecEnv& env, const Tuple& tuple,
 
 bool ExecNextCase(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
                   const Tuple& from, ProbeContext* ctx) {
-  const size_t k = static_cast<size_t>(q.arity);
-  if (ctx->next_minval.size() < k) {
-    ctx->next_minval.resize(k);
-    ctx->next_tin.resize(k);
-    ctx->next_ct.resize(k);
-  }
+  EnsureDescentScratch(q, ctx);
   ctx->compiled_probes.fetch_add(1, std::memory_order_relaxed);
   if (obs::MetricsEnabled()) {
-    return ExecNextImpl<true>(q, env, entry, from.data(), ctx);
+    return ExecNextImpl<true, false>(q, env, entry, from.data(), ctx);
   }
-  return ExecNextImpl<false>(q, env, entry, from.data(), ctx);
+  return ExecNextImpl<false, false>(q, env, entry, from.data(), ctx);
+}
+
+bool ExecExtendCase(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
+                    ProbeContext* ctx) {
+  if (entry < 0) return false;
+  EnsureDescentScratch(q, ctx);
+  // Position 0 holds the pinned value and is not tight, so every later
+  // kInit starts its position at 0 and `from` is never read. Each case
+  // lays out one kInit/kFind pair per position from its entry, so entry+2
+  // is position 1's kInit.
+  ctx->next_ct[0] = 0;
+  const Vertex* regs = ctx->assignment.data();
+  return ExecNextImpl<false, true>(q, env, entry + 2, regs, ctx);
 }
 
 }  // namespace compile

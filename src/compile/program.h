@@ -1,7 +1,9 @@
 // The query-compilation plane: analyzed FO queries (the LNF cases built by
 // src/enumerate/lnf.cc) lowered into a small flat register-style IR and
-// executed by a computed-goto bytecode loop (src/compile/exec.cc) instead
-// of walking the LnfCase object tree per probe.
+// executed by a computed-goto bytecode loop (src/compile/exec.cc). Every
+// LNF-mode engine answers through it: the engine lowers its cases once,
+// right after the skip-pointer stage, and runs Test, Next and its own
+// extendable-coordinate descents on the executor.
 //
 // Two programs per query, both reading straight out of a contiguous
 // std::vector<Insn>:
@@ -12,24 +14,26 @@
 //     the shared kReject, and a fully matched case reaches kAccept.
 //     Distance branches are memoized in per-probe registers (ProbeContext::
 //     test_memo), so a (pair, bound) oracle call runs at most once per
-//     probe — the interpreter re-asks the oracle for the same tau pair in
-//     every case it scans.
+//     probe, however many cases test the same tau pair.
 //
-//   * The Next program: the engine's recursive lexicographic descent
-//     (Descend/SmallestCandidate) flattened into an explicit control-flow
-//     graph of kInit / kFind* / kBump ops per position, with the Case I /
-//     Case II / position-0 candidate source specialized per (case,
-//     position) at compile time (kFindSkip / kFindBall / kFindExt0) rather
-//     than re-dispatched per call. Candidate validation (unary colors, tau
-//     distances to earlier positions, binary literals) is a flat Check
-//     range attached to each find op, pre-fused and ordered cheap-first.
+//   * The Next program: the recursive lexicographic descent of Theorem
+//     5.1 flattened into an explicit control-flow graph of kInit / kFind* /
+//     kBump ops per position, with the Case I / Case II / position-0
+//     candidate source specialized per (case, position) at compile time
+//     (kFindSkip / kFindBall / kFindExt0) rather than re-dispatched per
+//     call. Candidate validation (unary colors, tau distances to earlier
+//     positions, binary literals) is a flat Check range attached to each
+//     find op, pre-fused and ordered cheap-first. Each case's code starts
+//     at its entry with one kInit/kFind pair per position, so entry + 2*p
+//     is position p's kInit (ExecExtendCase enters at position 1).
 //
 // Peephole passes run at lowering time (see compiler.cc): constant color
 // tests folded against the graph's color census, per-pair distance bounds
 // fused (tau entries, dist literals, equality and edge implications),
 // duplicate branches dropped, and cases proved contradictory eliminated
 // from both programs. Every pass preserves the case conjunction pointwise,
-// so compiled answers are bit-identical to the interpreter's.
+// so the programs accept exactly the tuples the LNF cases define; the
+// parity suites check the answers against fo::NaiveEvaluator.
 //
 // A CompiledQuery is immutable after Compile() and safe to execute from
 // any number of threads; all per-probe state lives in the caller's
@@ -145,8 +149,10 @@ class CompiledQuery {
   std::vector<int32_t> next_entry;
 
   // kFindExt0's imm indexes this table. The vectors are borrowed from the
-  // engine's per-case data; the engine owns both and resets the program
-  // before releasing them (DegradeAfterTrip).
+  // engine's per-case data, which the program is lowered before: the
+  // extendable descents fill them afterwards through ExecExtendCase, which
+  // never reads them. The engine owns both and resets the program before
+  // releasing them (DegradeAfterTrip).
   std::vector<const std::vector<Vertex>*> ext0;
 
   int num_test_regs = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <span>
 #include <thread>
@@ -263,7 +262,7 @@ void EnumerationEngine::FinalizeBudgetStats() {
     m.skips_us->Record(static_cast<int64_t>(stats_.skips_ms * 1e3));
     m.extendable_us->Record(static_cast<int64_t>(stats_.extendable_ms * 1e3));
   }
-  if (stats_.compiled && compiled_ != nullptr) {
+  if (compiled_ != nullptr) {
     const compile::CompileStats& cs = compiled_->stats;
     m.compile_programs->Increment();
     m.compile_insns->Add(cs.test_insns + cs.next_insns);
@@ -456,17 +455,23 @@ bool EnumerationEngine::PrepareLnfMode() {
                            static_cast<int64_t>(sizeof(Vertex) + 24));
   stats_.skips_ms = phase_timer.ElapsedSeconds() * 1e3;
 
+  // Lower the LNF cases to the flat bytecode programs (src/compile/) before
+  // the extendable descents, which run on the executor. Compilation is
+  // never on the answer path: the serving daemon rebuilds engines on its
+  // rebuild lane and swaps the snapshot in whole, programs included.
+  CompileQuery();
+
   // Materialize the extendable first coordinates per case (the Unary
   // Theorem stand-in): position 0 is always the minimum of its component,
   // so its base list exists; keep only values with a full completion. Each
   // descent is read-only on the shared structures, so base vertices shard
-  // over the pool with one ProbeContext per worker; the keep/drop flags
-  // land in index order.
+  // over the pool with one private ProbeContext per worker (outside the
+  // answer pool, so the descents never reach DrainAnswerStats()); the
+  // keep/drop flags land in index order.
   phase_timer.Restart();
   obs::ScopedSpan extendable_span("engine/extendable");
   std::vector<std::unique_ptr<ProbeContext>> contexts(
       static_cast<size_t>(pool.num_threads()));
-  const Tuple dummy_from = LexMin(k);
   for (size_t ci = 0; ci < lnf_.cases.size(); ++ci) {
     CaseData& data = case_data_[ci];
     const std::vector<Vertex>& base =
@@ -483,10 +488,7 @@ bool EnumerationEngine::PrepareLnfMode() {
           }
           if (budget_.Exceeded()) return;
           ctx->ResetBallCache();
-          ctx->assignment.assign(static_cast<size_t>(k), 0);
-          ctx->assignment[0] = base[static_cast<size_t>(i)];
-          if (Descend(ci, 1, dummy_from, /*tight=*/false, &ctx->assignment,
-                      ctx.get())) {
+          if (Extends(ci, base[static_cast<size_t>(i)], ctx.get())) {
             extendable[static_cast<size_t>(i)] = 1;
             // The completed assignment is this value's witness; Repair
             // rechecks it instead of re-running the descent.
@@ -513,35 +515,28 @@ bool EnumerationEngine::PrepareLnfMode() {
     }
   }
   stats_.extendable_ms = phase_timer.ElapsedSeconds() * 1e3;
-
-  // Lower the LNF cases to the flat bytecode programs (src/compile/). This
-  // is the last prepare stage, so compilation is never on the answer path:
-  // the serving daemon rebuilds engines on its rebuild lane and swaps the
-  // snapshot in whole, compiled programs included. The interpreter stays
-  // available as the oracle for parity testing.
-  phase_timer.Restart();
-  if (!options_.use_compiled_queries) {
-    stats_.not_compiled_reason = "disabled by EngineOptions";
-  } else if (std::getenv("NWD_NO_COMPILE") != nullptr) {
-    stats_.not_compiled_reason = "disabled by NWD_NO_COMPILE";
-  } else {
-    obs::ScopedSpan span("engine/compile");
-    std::vector<compile::CaseInputs> inputs;
-    inputs.reserve(case_data_.size());
-    for (const CaseData& data : case_data_) {
-      inputs.push_back(
-          compile::CaseInputs{&data.list_index, &data.extendable0});
-    }
-    compiled_ = compile::Compile(lnf_, *graph_, inputs);
-    if (compiled_ != nullptr) {
-      stats_.compiled = true;
-      stats_.compile_ms = phase_timer.ElapsedSeconds() * 1e3;
-    } else {
-      stats_.not_compiled_reason =
-          "declined by the lowering (negative distance bound)";
-    }
-  }
   return true;
+}
+
+void EnumerationEngine::CompileQuery() {
+  obs::ScopedSpan span("engine/compile");
+  Timer compile_timer;
+  std::vector<compile::CaseInputs> inputs;
+  inputs.reserve(case_data_.size());
+  for (const CaseData& data : case_data_) {
+    inputs.push_back(compile::CaseInputs{&data.list_index, &data.extendable0});
+  }
+  compiled_ = compile::Compile(lnf_, *graph_, inputs);
+  stats_.compile_ms = compile_timer.ElapsedSeconds() * 1e3;
+}
+
+bool EnumerationEngine::Extends(size_t case_index, Vertex a0,
+                                ProbeContext* ctx) const {
+  ctx->assignment.assign(static_cast<size_t>(lnf_.arity), 0);
+  ctx->assignment[0] = a0;
+  const compile::ExecEnv env{graph_, oracle_.get(), cover_.get(), &skips_};
+  return compile::ExecExtendCase(*compiled_, env,
+                                 compiled_->next_entry[case_index], ctx);
 }
 
 bool EnumerationEngine::Repair(std::span<const GraphEdit> edits,
@@ -766,12 +761,15 @@ bool EnumerationEngine::Repair(std::span<const GraphEdit> edits,
   stats->skips_ms = stage_timer.ElapsedSeconds() * 1e3;
   stage_timer.Restart();
 
-  // --- Extendable projections + bytecode --------------------------------
+  // --- Bytecode + extendable projections --------------------------------
+  // Re-lowering against the current graph retires every constant-folded
+  // fact the batch may have invalidated (color counts); the extendable
+  // repair then descends on the new program.
+  CompileQuery();
+  stats->compile_ms = stage_timer.ElapsedSeconds() * 1e3;
+  stage_timer.Restart();
   RepairExtendable(edit_dist, color_edited, have_edge_edits, stats);
   stats->extendable_ms = stage_timer.ElapsedSeconds() * 1e3;
-  stage_timer.Restart();
-  RecompileAfterRepair();
-  stats->compile_ms = stage_timer.ElapsedSeconds() * 1e3;
 
   generation_.fetch_add(1, std::memory_order_acq_rel);
   return true;
@@ -811,16 +809,14 @@ void EnumerationEngine::RepairExtendable(
     const std::vector<int32_t>& edit_dist,
     const std::vector<uint8_t>& color_edited, bool have_edge_edits,
     RepairStats* stats) {
-  const int k = lnf_.arity;
   const int r = static_cast<int>(lnf_.radius);
   // Any tuple whose truth flipped has a component within r of a site; in a
   // single-tau-component case that pins a0 within (k-1)*r + r = k*r of it.
   const int32_t locality = static_cast<int32_t>(cover_->radius());
-  compiled_.reset();  // borrows extendable0; re-lowered after the repair
-  ScopedProbeContext ctx(probe_pool_.get());
-  ctx->request_id = obs::CurrentRequestId();
-  ctx->ResetBallCache();
-  const Tuple dummy_from = LexMin(k);
+  // A private context, as in prepare: repair descents are not probes, so
+  // their ball-cache traffic stays out of the answer pool's counters. Its
+  // cache serves every descent of this repair (the graph is fixed now).
+  ProbeContext ctx(graph_->NumVertices());
 
   for (size_t ci = 0; ci < lnf_.cases.size(); ++ci) {
     const LnfCase& c = lnf_.cases[ci];
@@ -892,12 +888,9 @@ void EnumerationEngine::RepairExtendable(
       }
       if (need_descent) {
         ++stats->descents_run;
-        ctx->assignment.assign(static_cast<size_t>(k), 0);
-        ctx->assignment[0] = a0;
-        if (Descend(ci, 1, dummy_from, /*tight=*/false, &ctx->assignment,
-                    ctx.get())) {
+        if (Extends(ci, a0, &ctx)) {
           keep = true;
-          witness = ctx->assignment;
+          witness = ctx.assignment;
         }
       }
       if (keep) {
@@ -910,213 +903,16 @@ void EnumerationEngine::RepairExtendable(
   }
 }
 
-void EnumerationEngine::RecompileAfterRepair() {
-  compiled_.reset();
-  stats_.compiled = false;
-  if (!options_.use_compiled_queries) {
-    stats_.not_compiled_reason = "disabled by EngineOptions";
-    return;
-  }
-  if (std::getenv("NWD_NO_COMPILE") != nullptr) {
-    stats_.not_compiled_reason = "disabled by NWD_NO_COMPILE";
-    return;
-  }
-  // Re-lowering against the current graph retires every constant-folded
-  // fact the edit batch may have invalidated (color counts, empty lists).
-  Timer compile_timer;
-  std::vector<compile::CaseInputs> inputs;
-  inputs.reserve(case_data_.size());
-  for (const CaseData& data : case_data_) {
-    inputs.push_back(compile::CaseInputs{&data.list_index, &data.extendable0});
-  }
-  compiled_ = compile::Compile(lnf_, *graph_, inputs);
-  if (compiled_ != nullptr) {
-    stats_.compiled = true;
-    stats_.compile_ms = compile_timer.ElapsedSeconds() * 1e3;
-  } else {
-    stats_.not_compiled_reason =
-        "declined by the lowering (negative distance bound)";
-  }
-}
-
-bool EnumerationEngine::UnaryOk(const LnfCase& c, int position,
-                                Vertex v) const {
-  for (const LnfLiteral& lit : c.unary_literals[position]) {
-    if (graph_->HasColor(v, lit.atom.color) != lit.positive) return false;
-  }
-  return true;
-}
-
-bool EnumerationEngine::ConsistentWithEarlier(const LnfCase& c, int pos,
-                                              Vertex v,
-                                              const Tuple& assignment) const {
-  const int r = static_cast<int>(lnf_.radius);
-  for (int e = 0; e < pos; ++e) {
-    const bool near = oracle_->WithinDistance(v, assignment[e], r);
-    if (near != c.tau[pos][e]) return false;
-  }
-  for (const LnfLiteral& lit : c.binary_literals_at[pos]) {
-    const int other = lit.atom.pos1 == pos ? lit.atom.pos2 : lit.atom.pos1;
-    NWD_DCHECK(other < pos);
-    const Vertex u = assignment[other];
-    bool holds = false;
-    switch (lit.atom.kind) {
-      case LnfAtom::Kind::kEdge:
-        holds = graph_->HasEdge(v, u);
-        break;
-      case LnfAtom::Kind::kEquals:
-        holds = v == u;
-        break;
-      case LnfAtom::Kind::kDist:
-        holds = oracle_->WithinDistance(
-            v, u, static_cast<int>(lit.atom.dist_bound));
-        break;
-      case LnfAtom::Kind::kColor:
-        NWD_CHECK(false) << "color literal among binary literals";
-    }
-    if (holds != lit.positive) return false;
-  }
-  return true;
-}
-
-std::optional<Vertex> EnumerationEngine::SmallestCandidate(
-    size_t case_index, int pos, const Tuple& assignment, Vertex min_val,
-    ProbeContext* ctx) const {
-  const int64_t n = graph_->NumVertices();
-  if (min_val >= n) return std::nullopt;
-  if (min_val < 0) min_val = 0;
-  const LnfCase& c = lnf_.cases[case_index];
-  const CaseData& data = case_data_[case_index];
-
-  if (pos == 0) {
-    // The materialized projection: every entry extends to a full solution.
-    const std::vector<Vertex>& ext = data.extendable0;
-    const auto it = std::lower_bound(ext.begin(), ext.end(), min_val);
-    if (it == ext.end()) return std::nullopt;
-    return *it;
-  }
-
-  const int comp = c.component_of[pos];
-  const int anchor_pos = c.components[comp][0];
-  if (anchor_pos < pos) {
-    // Case II: an earlier variable of the same tau-component pins the
-    // candidate within distance (k-1)*r of its value (any tau-path between
-    // them has at most k-1 edges of weight <= r). Scanning that ball is
-    // much cheaper than scanning the anchor's canonical bag, whose radius
-    // is 2*k*r around a possibly high-degree center.
-    const Vertex anchor = assignment[anchor_pos];
-    const int radius = static_cast<int>((lnf_.arity - 1) * lnf_.radius);
-    // One probe (Next() call / preprocessing descent) re-scans the same
-    // anchor on every backtrack and at every later same-component
-    // position; the radius is fixed, so the ball is cached per anchor.
-    // The cache arena keeps its capacity across probes, so a steady-state
-    // miss costs one BFS into a warm buffer and one arena append — no
-    // heap allocation.
-    std::span<const Vertex> ball;
-    // Answer-path fault point (behavior-preserving): firing bypasses the
-    // cache entirely — lookup and insert — forcing the fresh-BFS route,
-    // so soak tests can fire it randomly while asserting bit-identical
-    // answers.
-    const bool skip_cache = NWD_FAULT_POINT("answer/ball_cache");
-    if (!skip_cache && ctx->balls.Lookup(anchor, &ball)) {
-      ctx->ball_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ctx->ball_cache_misses.fetch_add(1, std::memory_order_relaxed);
-      ctx->scratch.NeighborhoodInto(*graph_, anchor, radius,
-                                    &ctx->ball_scratch);
-      ball = skip_cache
-                 ? std::span<const Vertex>(ctx->ball_scratch)
-                 : ctx->balls.Insert(anchor, ctx->ball_scratch);
-      if (ctx->budget != nullptr &&
-          !ctx->budget->ChargeWork(static_cast<int64_t>(ball.size()))) {
-        return std::nullopt;  // preprocessing descent, result discarded
-      }
-    }
-    for (auto it = std::lower_bound(ball.begin(), ball.end(), min_val);
-         it != ball.end(); ++it) {
-      if (UnaryOk(c, pos, *it) &&
-          ConsistentWithEarlier(c, pos, *it, assignment)) {
-        return *it;
-      }
-    }
-    return std::nullopt;
-  }
-
-  // Case I: `pos` starts a fresh component; every earlier variable is in
-  // another component, so the candidate must be at distance > r from all
-  // of them. The bag set lives in context scratch (at most pos entries).
-  std::vector<int64_t>& bags = ctx->case1_bags;
-  bags.clear();
-  for (int e = 0; e < pos; ++e) {
-    bags.push_back(cover_->AssignedBag(assignment[e]));
-  }
-  std::sort(bags.begin(), bags.end());
-  bags.erase(std::unique(bags.begin(), bags.end()), bags.end());
-
-  std::optional<Vertex> best;
-  // The b'_0 candidate: outside every kernel of the earlier bags, hence
-  // automatically far from every earlier vertex (kernel argument).
-  const int li = data.list_index[pos];
-  NWD_DCHECK(li >= 0);
-  const Vertex from_skip = skips_[static_cast<size_t>(li)]->Skip(
-      min_val, std::span<const int64_t>(bags));
-  if (from_skip >= 0) best = from_skip;
-
-  // The b'_kappa candidates: inside one of the earlier bags (covers valid
-  // candidates that sit in some kernel), individually validated.
-  for (int64_t bag : bags) {
-    const std::span<const Vertex> members = cover_->Bag(bag);
-    for (auto it = std::lower_bound(members.begin(), members.end(), min_val);
-         it != members.end(); ++it) {
-      const Vertex v = *it;
-      if (best.has_value() && v >= *best) break;
-      if (UnaryOk(c, pos, v) && ConsistentWithEarlier(c, pos, v, assignment)) {
-        best = v;
-        break;
-      }
-    }
-  }
-  return best;
-}
-
-bool EnumerationEngine::Descend(size_t case_index, int pos, const Tuple& from,
-                                bool tight, Tuple* assignment,
-                                ProbeContext* ctx) const {
-  const int k = lnf_.arity;
-  if (pos == k) return true;
-  Vertex min_val = tight ? from[static_cast<size_t>(pos)] : 0;
-  for (;;) {
-    // Extendable-phase descents can backtrack heavily on adversarial
-    // inputs; a tripped budget abandons the probe (its result is
-    // discarded along with the rest of the LNF structures).
-    if (ctx->budget != nullptr && ctx->budget->Exceeded()) return false;
-    const std::optional<Vertex> cand =
-        SmallestCandidate(case_index, pos, *assignment, min_val, ctx);
-    if (!cand.has_value()) return false;
-    (*assignment)[static_cast<size_t>(pos)] = *cand;
-    const bool child_tight =
-        tight && *cand == from[static_cast<size_t>(pos)];
-    if (Descend(case_index, pos + 1, from, child_tight, assignment, ctx)) {
-      return true;
-    }
-    min_val = *cand + 1;
-  }
-}
-
 bool EnumerationEngine::NextForCase(size_t case_index, const Tuple& from,
                                     ProbeContext* ctx) const {
   ctx->descents.fetch_add(1, std::memory_order_relaxed);
   ctx->assignment.assign(static_cast<size_t>(lnf_.arity), 0);
-  if (compiled_ != nullptr) {
-    const int32_t entry = compiled_->next_entry[case_index];
-    // A dead (peephole-proved contradictory) case never produces an answer
-    // in the interpreter either, so skipping it preserves the cross-case
-    // minimum.
-    if (entry < 0) return false;
-    const compile::ExecEnv env{graph_, oracle_.get(), cover_.get(), &skips_};
-    return compile::ExecNextCase(*compiled_, env, entry, from, ctx);
-  }
-  return Descend(case_index, 0, from, /*tight=*/true, &ctx->assignment, ctx);
+  const int32_t entry = compiled_->next_entry[case_index];
+  // A dead (peephole-proved contradictory) case has no solution at all, so
+  // skipping it preserves the cross-case minimum.
+  if (entry < 0) return false;
+  const compile::ExecEnv env{graph_, oracle_.get(), cover_.get(), &skips_};
+  return compile::ExecNextCase(*compiled_, env, entry, from, ctx);
 }
 
 std::optional<Tuple> EnumerationEngine::NextLnf(const Tuple& from,
@@ -1188,47 +984,8 @@ bool EnumerationEngine::Test(const Tuple& tuple) const {
         materialized_.begin(), materialized_.end(), tuple,
         [](const Tuple& a, const Tuple& b) { return LexCompare(a, b) < 0; });
   }
-  if (compiled_ != nullptr) {
-    const compile::ExecEnv env{graph_, oracle_.get(), cover_.get(), &skips_};
-    return compile::ExecTest(*compiled_, env, tuple, ctx.get());
-  }
-  const int k = lnf_.arity;
-  const int r = static_cast<int>(lnf_.radius);
-  for (const LnfCase& c : lnf_.cases) {
-    bool match = true;
-    for (int i = 0; i < k && match; ++i) {
-      for (int j = i + 1; j < k && match; ++j) {
-        const bool near = oracle_->WithinDistance(tuple[i], tuple[j], r);
-        if (near != c.tau[i][j]) match = false;
-      }
-    }
-    if (!match) continue;
-    for (const LnfLiteral& lit : c.literals) {
-      bool holds = false;
-      switch (lit.atom.kind) {
-        case LnfAtom::Kind::kColor:
-          holds = graph_->HasColor(tuple[lit.atom.pos1], lit.atom.color);
-          break;
-        case LnfAtom::Kind::kEdge:
-          holds = graph_->HasEdge(tuple[lit.atom.pos1], tuple[lit.atom.pos2]);
-          break;
-        case LnfAtom::Kind::kEquals:
-          holds = tuple[lit.atom.pos1] == tuple[lit.atom.pos2];
-          break;
-        case LnfAtom::Kind::kDist:
-          holds = oracle_->WithinDistance(tuple[lit.atom.pos1],
-                                          tuple[lit.atom.pos2],
-                                          static_cast<int>(lit.atom.dist_bound));
-          break;
-      }
-      if (holds != lit.positive) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;  // cases are mutually exclusive
-  }
-  return false;
+  const compile::ExecEnv env{graph_, oracle_.get(), cover_.get(), &skips_};
+  return compile::ExecTest(*compiled_, env, tuple, ctx.get());
 }
 
 std::optional<Tuple> EnumerationEngine::First() const {

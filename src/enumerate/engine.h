@@ -12,20 +12,24 @@
 //     removal recursion) for constant-time dist <= d tests,
 //   * per case and per "fresh" position: the candidate lists L (Step 12)
 //     and their skip pointers (Lemma 5.8, Step 13),
+//   * lower the LNF cases to the bytecode programs of src/compile/ (once,
+//     right after the skip pointers),
 //   * materialize the extendable first coordinates (the Unary Theorem 5.3
-//     stand-in) so enumeration never dead-ends at position 0.
+//     stand-in) so enumeration never dead-ends at position 0; each value
+//     is decided by one pinned descent on the bytecode executor.
 // The independent prepare stages (kernels, candidate-list scans, skip
 // pointers, extendable descents) shard over a worker pool
 // (EngineOptions::num_threads) with results collected in index order, so
 // the built engine is bit-identical at any thread count.
 //
-// Answer-time:
-//   * Test(tuple): locate the unique matching (tau, i) case — distance-type
-//     checks through the oracle plus literal checks; O(1) per case
+// Answer-time, all through the bytecode executor (src/compile/exec.h):
+//   * Test(tuple): the Test program checks each live (tau, i) case's
+//     distance types through the oracle plus its literals; O(1) per case
 //     (Corollary 2.4).
-//   * Next(from): per case, a lexicographic descent over positions where
-//     each position's candidates come from
-//       - the canonical bag of the component anchor (positions with an
+//   * Next(from): per case, the Next program's lexicographic descent over
+//     positions, where each position's candidates come from
+//       - the extendable first coordinates (position 0),
+//       - the (k-1)*r-ball of the component anchor (positions with an
 //         earlier same-component variable; Case II of Section 5.2.2), or
 //       - the skip pointers over L avoiding the earlier vertices' kernels,
 //         merged with scans of those vertices' bags (Case I: the b'_0 and
@@ -35,13 +39,14 @@
 // Concurrency contract: after construction the engine is logically
 // immutable, and Test/Next/First (and the batch wrappers below) are safe
 // to call from any number of threads at once. Every per-probe mutable
-// datum lives in a ProbeContext drawn from a lock-free pool (one context
-// per in-flight probe; see probe_context.h); answer-time statistics
+// datum lives in a ProbeContext drawn from a pool (one context per
+// in-flight probe; see probe_context.h); answer-time statistics
 // accumulate in per-context counters drained on demand through
-// DrainAnswerStats(). Answers are bit-identical regardless of the number
-// of concurrent callers. The degraded/lazy fallback paths keep internal
-// scratch and serialize behind a mutex — correct under concurrency,
-// faster single-threaded.
+// DrainAnswerStats(). Preprocessing and Repair run their descents on
+// private contexts, so those counters see probes only. Answers are
+// bit-identical regardless of the number of concurrent callers. The
+// degraded/lazy fallback paths keep internal scratch and serialize
+// behind a mutex — correct under concurrency, faster single-threaded.
 //
 // Deviations from the paper, both documented in DESIGN.md:
 //   * within-component "smallest valid member" is found by scanning the
@@ -51,7 +56,8 @@
 //     budget on the sparse classes (measured by experiments E2/E4);
 //   * positions after the first can dead-end (the paper prevents this with
 //     recursive structures for every projection query); the descent
-//     backtracks, and experiment E2 measures the resulting delays.
+//     backtracks, and experiment E2 measures the resulting delays. Only
+//     position 0 is materialized as extendable (extendable0).
 //
 // Unsupported queries (quantifiers) transparently fall back to the
 // baseline; `used_fallback()` reports it.
@@ -107,14 +113,6 @@ struct EngineOptions {
   // Test/Next are thread-safe, and TestBatch/NextBatch/EnumerateParallel
   // take their own thread count.
   int num_threads = 1;
-  // Compile the LNF cases to the flat bytecode programs of src/compile/
-  // and answer Test/Next through the computed-goto executor instead of the
-  // object-tree interpreter. Answers are bit-identical either way; the
-  // interpreter stays available as the oracle (set this false, or export
-  // NWD_NO_COMPILE=1, to force it). Compilation happens once at engine
-  // build — never on the answer path — and is skipped automatically in
-  // fallback/degraded modes.
-  bool use_compiled_queries = true;
   DistanceOracle::Options oracle;
   // Resource budget + density guards for the preprocessing phase.
   // Preprocessing is pseudo-linear only on (effectively) nowhere dense
@@ -148,13 +146,8 @@ class EnumerationEngine {
     double cover_ms = 0.0;       // cover construction (+ splitter strategy)
     double kernels_ms = 0.0;     // per-bag r-kernels
     double skips_ms = 0.0;       // candidate-list scans + skip pointers
+    double compile_ms = 0.0;     // lowering to bytecode (src/compile/)
     double extendable_ms = 0.0;  // extendable first-coordinate descents
-    // Query compilation (src/compile/): whether the engine answers through
-    // the bytecode executor, the lowering wall time, and why compilation
-    // was skipped when it was (empty when compiled).
-    bool compiled = false;
-    double compile_ms = 0.0;
-    std::string not_compiled_reason;
     // Case II anchor balls served from the per-probe cache instead of a
     // fresh BFS during the preprocessing descents. (Answer-time cache
     // traffic is per-context; drain it via DrainAnswerStats().)
@@ -219,16 +212,16 @@ class EnumerationEngine {
                                        int64_t limit = -1) const;
 
   // Aggregates and resets the answer-time counters accumulated by every
-  // probe context since the last drain (construction's extendable-descent
-  // probes excluded — those land in stats().ball_cache_hits). Thread-safe;
-  // may run concurrently with probes, which keep counting into the next
-  // drain.
+  // probe context since the last drain. The extendable descents of
+  // construction and Repair are not probes and never count here
+  // (construction's cache hits land in stats().ball_cache_hits).
+  // Thread-safe; may run concurrently with probes, which keep counting
+  // into the next drain.
   AnswerCounters DrainAnswerStats() const;
 
-  // The bytecode programs this engine answers through, or null when it
-  // runs the interpreter (fallback mode, use_compiled_queries=false,
-  // NWD_NO_COMPILE, or an unsupported shape). Borrowed; owned by the
-  // engine. The nwdq --dump-program view.
+  // The bytecode programs this engine answers through: non-null exactly
+  // when the engine runs the LNF machinery (not used_fallback()).
+  // Borrowed; owned by the engine. The nwdq --dump-program view.
   const compile::CompiledQuery* compiled_query() const {
     return compiled_.get();
   }
@@ -262,10 +255,10 @@ class EnumerationEngine {
   // graph and mutates it through ColoredGraph::ApplyInPlace). Damage is
   // localized: only bags whose 2R-ball touches an edit are re-BFS'd,
   // only their kernels recomputed, only affected candidate lists patched,
-  // and the extendable projections repaired through stored witnesses —
-  // the distance oracle goes stale gracefully behind a dirty overlay
-  // instead of rebuilding. Bumps generation() so pooled probe contexts
-  // drop their cached anchor balls.
+  // the bytecode re-lowered, and the extendable projections repaired
+  // through stored witnesses — the distance oracle goes stale gracefully
+  // behind a dirty overlay instead of rebuilding. Bumps generation() so
+  // pooled probe contexts drop their cached anchor balls.
   //
   // Returns false when in-place repair is not possible — fallback /
   // degraded / sentence / local-unary engines, or the dirty overlay
@@ -316,25 +309,16 @@ class EnumerationEngine {
   // Copies the budget's counters into stats_ (end of construction).
   void FinalizeBudgetStats();
 
-  // Whether vertex v satisfies the unary literals of `position` in `c`.
-  bool UnaryOk(const LnfCase& c, int position, Vertex v) const;
-  // Whether v is consistent, as position `pos`, with the earlier entries of
-  // `assignment` (tau distances + binary literals).
-  bool ConsistentWithEarlier(const LnfCase& c, int pos, Vertex v,
-                             const Tuple& assignment) const;
+  // Lowers the LNF cases to bytecode against the current graph (so
+  // constant-folded color facts are current) into compiled_, timing it
+  // into stats_.compile_ms. Runs once in prepare, right after the skip
+  // pointers, and again in Repair before the extendable repair.
+  void CompileQuery();
 
-  // Smallest valid candidate >= min_val for position `pos`, given the
-  // earlier assignment. `case_index` selects the case; `ctx` supplies the
-  // caller's BFS scratch and ball cache (one per in-flight probe).
-  std::optional<Vertex> SmallestCandidate(size_t case_index, int pos,
-                                          const Tuple& assignment,
-                                          Vertex min_val,
-                                          ProbeContext* ctx) const;
-
-  // Lexicographic descent: complete `assignment` from position `pos` with
-  // the suffix >= from's when `tight`.
-  bool Descend(size_t case_index, int pos, const Tuple& from, bool tight,
-               Tuple* assignment, ProbeContext* ctx) const;
+  // Whether a0, pinned at position 0 of case `case_index`, completes to a
+  // solution of the case; the completion is left in ctx->assignment. One
+  // non-counting descent on the executor (compile::ExecExtendCase).
+  bool Extends(size_t case_index, Vertex a0, ProbeContext* ctx) const;
 
   // Runs the full descent for one case; on success the solution is left in
   // ctx->assignment.
@@ -347,15 +331,13 @@ class EnumerationEngine {
   // Whether `t` satisfies every predicate of case `c` on the current graph
   // (tau distance types + literals) — the semantic witness recheck.
   bool CaseSatisfied(const LnfCase& c, const Tuple& t) const;
-  // Repairs each case's extendable0/witness0 after a structural repair.
+  // Repairs each case's extendable0/witness0 after a structural repair,
+  // running its descents on the freshly recompiled program.
   // `edit_dist[v]` is the distance from v to the nearest edit site (-1 if
   // beyond 2R); `color_edited` flags the colors touched by the batch.
   void RepairExtendable(const std::vector<int32_t>& edit_dist,
                         const std::vector<uint8_t>& color_edited,
                         bool have_edge_edits, RepairStats* stats);
-  // Re-lowers the LNF cases to bytecode against the current graph (stale
-  // constant-folded color facts die here). Mirrors the prepare-time stage.
-  void RecompileAfterRepair();
 
   // num_threads semantics shared by the batch APIs (0 = hardware).
   static int ResolveAnswerThreads(int num_threads);
@@ -399,13 +381,13 @@ class EnumerationEngine {
   std::vector<CaseData> case_data_;
   // Bumped by Repair; see generation().
   std::atomic<uint64_t> generation_{0};
-  // The compiled bytecode programs (null = interpreter). Borrows
-  // case_data_'s extendable0 vectors and is reset alongside them
-  // (DegradeAfterTrip).
+  // The compiled bytecode programs (null only in fallback mode). Borrows
+  // case_data_'s list_index and extendable0 vectors and is reset before
+  // them (DegradeAfterTrip).
   std::unique_ptr<compile::CompiledQuery> compiled_;
-  // Per-probe contexts for the answer-time descents: a lock-free pool
-  // handing one context to each in-flight Test/Next, which makes the
-  // answer path reentrant and allocation-free in steady state.
+  // Per-probe contexts for the answer-time descents: a pool handing one
+  // context to each in-flight Test/Next, which makes the answer path
+  // reentrant and allocation-free in steady state.
   mutable std::unique_ptr<ProbeContextPool> probe_pool_;
 };
 

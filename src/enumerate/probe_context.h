@@ -16,15 +16,16 @@
 //     bump arena, so a steady-state probe performs zero heap allocations
 //     (the unordered_map<Vertex, vector<Vertex>> it replaces allocated a
 //     node plus a vector per fresh anchor).
-//   * ProbeContextPool — a lock-free free-list handing one context to each
-//     in-flight probe. Pop takes the whole list with one atomic exchange
-//     (no ABA window), push is a plain CAS; a miss allocates a new context,
-//     so the pool grows to the caller's actual concurrency and no further.
+//   * ProbeContextPool — a stack of free contexts under a mutex, handing
+//     one context to each in-flight probe. A miss allocates a new context
+//     only when every existing one is in use, so the pool grows to the
+//     peak number of concurrent callers and no further.
 //
 // Answering needs no budget: every per-probe datum is bounded by the
 // preprocessing-time structures (ball radii, list sizes), which were
-// themselves budgeted. The `budget` pointer below is only set by the
-// preprocessing phase's extendable-coordinate descents.
+// themselves budgeted. The `budget` pointer below is only set on the
+// private contexts of the preprocessing phase's extendable-coordinate
+// descents.
 
 #ifndef NWD_ENUMERATE_PROBE_CONTEXT_H_
 #define NWD_ENUMERATE_PROBE_CONTEXT_H_
@@ -186,19 +187,16 @@ struct ProbeContext {
   std::atomic<int64_t> compiled_probes{0};
   std::atomic<int64_t> compiled_insns{0};
 
-  // Borrowed preprocessing budget; descents poll it so a trip cancels
-  // in-flight extendable probes. Always null at answer time (answers are
-  // O(1) per case and never budgeted).
+  // Borrowed preprocessing budget; the extendable descents charge their
+  // ball BFS to it and poll it, so a trip cancels them. Always null at
+  // answer time (answers are O(1) per case and never budgeted).
   const ResourceBudget* budget = nullptr;
-
-  ProbeContext* next_free = nullptr;  // intrusive pool free-list link
 };
 
-// Lock-free LIFO free-list of contexts, one per in-flight probe. Acquire
-// pops by exchanging the whole list head (immune to the classic
-// compare-and-swap ABA hazard because no other thread can observe an
-// intermediate head), Release pushes with a CAS loop. Contexts live until
-// the pool dies, so Drain() can walk them at any time.
+// LIFO stack of free contexts, one per in-flight probe, under one mutex
+// that also guards the owning list. Acquire and Release are O(1) and, in
+// steady state, allocation-free. Contexts live until the pool dies, so
+// Drain() can walk them at any time.
 class ProbeContextPool {
  public:
   explicit ProbeContextPool(int64_t num_vertices)
@@ -206,27 +204,30 @@ class ProbeContextPool {
 
   ProbeContext* Acquire() {
     // Answer-path fault point (behavior-preserving): firing skips the
-    // free-list reuse and allocates a fresh context, exercising the
+    // free stack and allocates a fresh context, exercising the
     // pool-growth path under soak load. The context still lands in all_,
     // so nothing leaks and Drain() keeps seeing every counter.
-    ProbeContext* head =
-        NWD_FAULT_POINT("answer/pool_miss")
-            ? nullptr
-            : free_head_.exchange(nullptr, std::memory_order_acquire);
-    if (head != nullptr) {
-      ProbeContext* rest = head->next_free;
-      head->next_free = nullptr;
-      if (rest != nullptr) PushChain(rest);
-      return head;
+    if (!NWD_FAULT_POINT("answer/pool_miss")) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!free_.empty()) {
+        ProbeContext* ctx = free_.back();
+        free_.pop_back();
+        return ctx;
+      }
     }
+    // Every context is in use: allocate outside the lock.
     auto created = std::make_unique<ProbeContext>(num_vertices_);
     ProbeContext* ctx = created.get();
     std::lock_guard<std::mutex> lock(mu_);
     all_.push_back(std::move(created));
+    free_.reserve(all_.size());  // so Release never allocates
     return ctx;
   }
 
-  void Release(ProbeContext* ctx) { PushChain(ctx); }
+  void Release(ProbeContext* ctx) {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(ctx);
+  }
 
   // Sums and resets the per-context counters. Safe concurrently with
   // probes; in-flight probes keep counting into the next drain.
@@ -251,20 +252,9 @@ class ProbeContextPool {
   }
 
  private:
-  void PushChain(ProbeContext* chain) {
-    ProbeContext* tail = chain;
-    while (tail->next_free != nullptr) tail = tail->next_free;
-    ProbeContext* old_head = free_head_.load(std::memory_order_relaxed);
-    do {
-      tail->next_free = old_head;
-    } while (!free_head_.compare_exchange_weak(old_head, chain,
-                                               std::memory_order_release,
-                                               std::memory_order_relaxed));
-  }
-
   const int64_t num_vertices_;
-  std::atomic<ProbeContext*> free_head_{nullptr};
-  std::mutex mu_;  // guards all_ (touched on create and drain only)
+  std::mutex mu_;  // guards free_ and all_
+  std::vector<ProbeContext*> free_;
   std::vector<std::unique_ptr<ProbeContext>> all_;
 };
 

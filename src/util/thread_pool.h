@@ -3,8 +3,8 @@
 // The engine's preprocessing phase (Theorem 2.3's f(q,eps)*n^{1+eps} term)
 // decomposes into embarrassingly parallel stages: per-bag kernel BFS,
 // per-list skip-pointer construction, per-vertex color scans, and one
-// read-only Descend per base vertex. ParallelFor shards such an index
-// range over the pool; callers write results into slot i of a pre-sized
+// read-only extendable descent per base vertex. ParallelFor shards such an
+// index range over the pool; callers write results into slot i of a pre-sized
 // output, so collected results are identical to the serial order no matter
 // how chunks are scheduled.
 //

@@ -1,10 +1,10 @@
-// Compiled-vs-interpreted parity: the bytecode executor must be
-// bit-identical to the interpreted descent on every answer surface —
-// Test, Next, serial and parallel enumeration — across random queries and
+// Compiled-answer parity: the bytecode executor is the engine's only LNF
+// answer path, so every answer surface — Test, Next, serial and parallel
+// enumeration — must equal fo::NaiveEvaluator's across random queries and
 // random graphs from every generator class, with the answer-path fault
 // armed, on budget-tripped (degraded) engines, and across live epoch
-// swaps in the serving daemon. The interpreter is the oracle; any
-// divergence is a compiler or executor bug, never a tie to break.
+// swaps in the serving daemon. The naive evaluator is the only oracle;
+// any divergence is a compiler or executor bug, never a tie to break.
 //
 // Runs under the TSan and ASan twins too (ctest -L tsan / -L asan): the
 // compiled programs are shared immutably across probe threads, and the
@@ -14,7 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,6 +23,7 @@
 #include "compile/program.h"
 #include "enumerate/engine.h"
 #include "enumerate/enumerator.h"
+#include "fo/naive_eval.h"
 #include "fo/parser.h"
 #include "fo/printer.h"
 #include "obs/metrics.h"
@@ -50,6 +51,16 @@ std::vector<Tuple> Enumerate(const EnumerationEngine& engine) {
   return out;
 }
 
+// The smallest solution >= from in the naive (sorted) solution set.
+std::optional<Tuple> NaiveNext(const std::vector<Tuple>& solutions,
+                               const Tuple& from) {
+  const auto it = std::lower_bound(
+      solutions.begin(), solutions.end(), from,
+      [](const Tuple& a, const Tuple& b) { return LexCompare(a, b) < 0; });
+  if (it == solutions.end()) return std::nullopt;
+  return *it;
+}
+
 Tuple RandomTuple(const ColoredGraph& g, int arity, Rng* rng) {
   Tuple t;
   for (int i = 0; i < arity; ++i) {
@@ -59,134 +70,92 @@ Tuple RandomTuple(const ColoredGraph& g, int arity, Rng* rng) {
   return t;
 }
 
-// Asserts every answer surface of `compiled` is bit-identical to
-// `interp`'s. Returns void so ASSERT_* can bail out of the caller's round.
-void ExpectParity(const EnumerationEngine& compiled,
-                  const EnumerationEngine& interp, const ColoredGraph& g,
-                  const fo::Query& q, Rng* rng) {
+// Asserts every answer surface of `engine` equals the naive evaluator's,
+// and that an engine running the LNF machinery answers through a
+// compiled program. Returns void so ASSERT_* can bail out of the
+// caller's round.
+void ExpectMatchesNaive(const EnumerationEngine& engine, const ColoredGraph& g,
+                        const fo::Query& q, Rng* rng) {
   const std::string label = fo::ToString(q) + " on " + g.DebugString();
-  ASSERT_EQ(Enumerate(compiled), Enumerate(interp)) << label;
-  ASSERT_EQ(compiled.EnumerateParallel(3), interp.EnumerateParallel(3))
-      << label;
-  const int arity = compiled.arity();
+  if (!engine.used_fallback()) {
+    ASSERT_NE(engine.compiled_query(), nullptr) << label;
+  }
+  fo::NaiveEvaluator naive(g);
+  const std::vector<Tuple> expected = naive.AllSolutions(q);
+  ASSERT_EQ(Enumerate(engine), expected) << label;
+  ASSERT_EQ(engine.EnumerateParallel(3), expected) << label;
+  const int arity = engine.arity();
   for (int trial = 0; trial < 60; ++trial) {
     const Tuple t = RandomTuple(g, arity, rng);
-    ASSERT_EQ(compiled.Test(t), interp.Test(t))
+    ASSERT_EQ(engine.Test(t), naive.TestTuple(q, t))
         << label << " test tuple " << serve::FormatTuple(t);
-    ASSERT_EQ(compiled.Next(t), interp.Next(t))
+    ASSERT_EQ(engine.Next(t), NaiveNext(expected, t))
         << label << " next tuple " << serve::FormatTuple(t);
   }
 }
 
+EngineOptions SmallGraphOptions() {
+  EngineOptions options;
+  options.naive_cutoff = 10;
+  options.oracle.small_cutoff = 8;
+  return options;
+}
+
 class CompileParity : public ::testing::TestWithParam<int> {};
 
-// The core sweep: random binary/ternary queries on random graphs, the
-// compiled engine against the interpreter with identical options.
+// The core sweep: random binary/ternary queries on random graphs.
 TEST_P(CompileParity, RandomQueriesRandomGraphs) {
   Rng rng(7000 + GetParam());
-  EngineOptions compiled_options;
-  compiled_options.naive_cutoff = 10;
-  compiled_options.oracle.small_cutoff = 8;
-  EngineOptions interp_options = compiled_options;
-  interp_options.use_compiled_queries = false;
-
-  int compiled_rounds = 0;
+  int lnf_rounds = 0;
   for (int round = 0; round < 4; ++round) {
     const int arity = (round % 2 == 0) ? 2 : 3;
     const ColoredGraph g =
         RandomGraph(round + GetParam(), arity == 2 ? 45 : 24, &rng);
     const fo::Query q = RandomQuery(arity, 2, &rng);
-    const EnumerationEngine compiled(g, q, compiled_options);
-    const EnumerationEngine interp(g, q, interp_options);
-    EXPECT_FALSE(interp.stats().compiled);
-    if (compiled.stats().compiled) {
-      ++compiled_rounds;
-      ASSERT_NE(compiled.compiled_query(), nullptr);
-    } else {
-      // The lowering may decline a query; it must say why.
-      EXPECT_FALSE(compiled.stats().not_compiled_reason.empty());
-    }
-    ExpectParity(compiled, interp, g, q, &rng);
+    const EnumerationEngine engine(g, q, SmallGraphOptions());
+    if (!engine.used_fallback()) ++lnf_rounds;
+    ExpectMatchesNaive(engine, g, q, &rng);
   }
   // A sweep that never exercised the compiled path would prove nothing.
-  EXPECT_GT(compiled_rounds, 0);
+  EXPECT_GT(lnf_rounds, 0);
 }
 
-// The answer-path fault forces the compiled executor's ball-cache bypass
-// (AnchorBall's fresh-BFS route); answers must not move.
+// The answer-path fault forces the executor's ball-cache bypass
+// (AnchorBall's fresh-BFS route) in the extendable descents and in every
+// probe; answers must not move.
 TEST_P(CompileParity, BallCacheFaultIsBehaviorPreserving) {
   Rng rng(7700 + GetParam());
-  EngineOptions compiled_options;
-  compiled_options.naive_cutoff = 10;
-  compiled_options.oracle.small_cutoff = 8;
-  EngineOptions interp_options = compiled_options;
-  interp_options.use_compiled_queries = false;
-
   const ColoredGraph g = RandomGraph(GetParam(), 45, &rng);
   const fo::Query q = RandomQuery(2, 2, &rng);
-  const EnumerationEngine compiled(g, q, compiled_options);
-  const EnumerationEngine interp(g, q, interp_options);
   fault_injection::ScopedFault fault("answer/ball_cache",
                                      fault_injection::Mode::kEveryHit);
-  ExpectParity(compiled, interp, g, q, &rng);
+  const EnumerationEngine engine(g, q, SmallGraphOptions());
+  ExpectMatchesNaive(engine, g, q, &rng);
 }
 
 // A budget trip degrades the engine to the lazy baseline and discards the
 // compiled program (it borrows the dropped case lists); the degraded
-// engine must still agree with an untripped interpreter.
+// engine must still answer exactly.
 TEST_P(CompileParity, DegradedEngineDropsProgramAndStaysIdentical) {
   Rng rng(8400 + GetParam());
-  EngineOptions tripped_options;
-  tripped_options.naive_cutoff = 10;
-  tripped_options.oracle.small_cutoff = 8;
+  EngineOptions tripped_options = SmallGraphOptions();
   tripped_options.budget.max_edge_work = 1;
-  EngineOptions clean_interp_options;
-  clean_interp_options.naive_cutoff = 10;
-  clean_interp_options.oracle.small_cutoff = 8;
-  clean_interp_options.use_compiled_queries = false;
-
   const ColoredGraph g = RandomGraph(GetParam(), 45, &rng);
   const fo::Query q = RandomQuery(2, 2, &rng);
   const EnumerationEngine tripped(g, q, tripped_options);
-  const EnumerationEngine interp(g, q, clean_interp_options);
   ASSERT_TRUE(tripped.stats().degraded) << "work cap never tripped";
-  EXPECT_FALSE(tripped.stats().compiled);
   EXPECT_EQ(tripped.compiled_query(), nullptr);
-  ExpectParity(tripped, interp, g, q, &rng);
+  ExpectMatchesNaive(tripped, g, q, &rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CompileParity, ::testing::Range(0, 4));
 
-// NWD_NO_COMPILE is the operational kill switch: it must disable
-// compilation with an attributed reason and, trivially, stay bit-identical
-// (it *is* the interpreter).
-TEST(CompileParityEnv, NoCompileEnvVarDisablesCompilation) {
-  Rng rng(9100);
-  const ColoredGraph g = RandomGraph(1, 45, &rng);
-  const fo::Query q = RandomQuery(2, 2, &rng);
-  EngineOptions options;
-  options.naive_cutoff = 10;
-  options.oracle.small_cutoff = 8;
-
-  ::setenv("NWD_NO_COMPILE", "1", /*overwrite=*/1);
-  const EnumerationEngine killed(g, q, options);
-  ::unsetenv("NWD_NO_COMPILE");
-  const EnumerationEngine compiled(g, q, options);
-
-  EXPECT_FALSE(killed.stats().compiled);
-  EXPECT_EQ(killed.compiled_query(), nullptr);
-  EXPECT_NE(killed.stats().not_compiled_reason.find("NWD_NO_COMPILE"),
-            std::string::npos)
-      << killed.stats().not_compiled_reason;
-  ExpectParity(compiled, killed, g, q, &rng);
-}
-
 }  // namespace
 
 // --- Daemon epoch swaps -------------------------------------------------
-// Two daemons serve the same query, one with compilation killed via the
-// environment (read at engine build, i.e. at snapshot load/reload). Both
-// answer streams must match before and after a live epoch swap.
+// A daemon serves one query across a live epoch swap; before and after,
+// its enumeration and its test/next replies must equal the naive
+// evaluator's over the snapshot's graph.
 
 namespace serve {
 namespace {
@@ -263,44 +232,66 @@ class DaemonHarness {
   std::unique_ptr<Daemon> daemon_;
 };
 
+// The daemon's answers for `source` as the naive evaluator gives them:
+// the same probe sweep as DaemonHarness::Collect, with the heads the
+// daemon formats for them at `epoch`.
+DaemonAnswers NaiveAnswers(const std::string& source, const fo::Query& query,
+                           int64_t epoch) {
+  DaemonAnswers answers;
+  ColoredGraph g;
+  std::string error;
+  EXPECT_TRUE(BuildGraphFromSource(source, GraphParseLimits{}, &g, &error))
+      << error;
+  fo::NaiveEvaluator naive(g);
+  answers.enumerated = naive.AllSolutions(query);
+  const std::string suffix = " epoch=" + std::to_string(epoch);
+  Rng rng(31337);
+  for (int trial = 0; trial < 40; ++trial) {
+    Tuple t;
+    for (int i = 0; i < query.arity(); ++i) {
+      t.push_back(static_cast<Vertex>(
+          rng.NextBounded(static_cast<uint64_t>(g.NumVertices()))));
+    }
+    answers.probe_heads.push_back(
+        std::string("ok test ") + (naive.TestTuple(query, t) ? "1" : "0") +
+        suffix);
+    const std::optional<Tuple> next = NaiveNext(answers.enumerated, t);
+    answers.probe_heads.push_back(
+        "ok next " + (next.has_value() ? FormatTuple(*next) : "none") +
+        suffix);
+  }
+  return answers;
+}
+
 TEST(CompileParityDaemon, AnswersMatchAcrossEpochSwaps) {
   const fo::ParseResult parsed = fo::ParseFormula("dist(x, y) > 1 & C0(x)");
   ASSERT_TRUE(parsed.ok) << parsed.error;
   constexpr const char* kFirst = "gen:tree:150:7";
   constexpr const char* kSecond = "gen:bdeg:120:9";
 
-  // Compiled daemon: load, collect, swap, collect.
-  DaemonHarness compiled(parsed.query);
-  compiled.Load(kFirst);
-  const DaemonAnswers compiled_first = compiled.Collect(150, 2);
-  compiled.Reload(kSecond, /*expected_epoch=*/2);
-  const DaemonAnswers compiled_second = compiled.Collect(120, 2);
-
-  // Interpreted daemon: same sequence with compilation killed while every
-  // engine build (initial load and reload) happens.
-  ::setenv("NWD_NO_COMPILE", "1", /*overwrite=*/1);
-  DaemonHarness interp(parsed.query);
-  interp.Load(kFirst);
-  const DaemonAnswers interp_first = interp.Collect(150, 2);
-  interp.Reload(kSecond, /*expected_epoch=*/2);
-  const DaemonAnswers interp_second = interp.Collect(120, 2);
-  ::unsetenv("NWD_NO_COMPILE");
+  DaemonHarness daemon(parsed.query);
+  daemon.Load(kFirst);
+  const DaemonAnswers first = daemon.Collect(150, 2);
+  daemon.Reload(kSecond, /*expected_epoch=*/2);
+  const DaemonAnswers second = daemon.Collect(120, 2);
 
   // The compilation plane is visible through the daemon's metrics verb
   // (values are process-global across tests, so assert the instruments
   // and that the program counter moved past the two builds above).
-  const std::string metrics = compiled.Metrics();
+  const std::string metrics = daemon.Metrics();
   EXPECT_NE(metrics.find("compile.programs"), std::string::npos) << metrics;
   EXPECT_NE(metrics.find("compile.exec.op.find_skip"), std::string::npos);
   EXPECT_GE(
       obs::MetricsRegistry::Global().GetCounter("compile.programs")->value(),
       2);
 
-  EXPECT_FALSE(compiled_first.enumerated.empty());
-  EXPECT_EQ(compiled_first.enumerated, interp_first.enumerated);
-  EXPECT_EQ(compiled_first.probe_heads, interp_first.probe_heads);
-  EXPECT_EQ(compiled_second.enumerated, interp_second.enumerated);
-  EXPECT_EQ(compiled_second.probe_heads, interp_second.probe_heads);
+  const DaemonAnswers naive_first = NaiveAnswers(kFirst, parsed.query, 1);
+  const DaemonAnswers naive_second = NaiveAnswers(kSecond, parsed.query, 2);
+  EXPECT_FALSE(first.enumerated.empty());
+  EXPECT_EQ(first.enumerated, naive_first.enumerated);
+  EXPECT_EQ(first.probe_heads, naive_first.probe_heads);
+  EXPECT_EQ(second.enumerated, naive_second.enumerated);
+  EXPECT_EQ(second.probe_heads, naive_second.probe_heads);
 }
 
 }  // namespace

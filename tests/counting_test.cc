@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "enumerate/counting.h"
 #include "fo/builders.h"
 #include "fo/naive_eval.h"
@@ -61,11 +63,19 @@ TEST_P(CountingTest, FastPathMatchesNaiveCount) {
   }
 }
 
+// Readable, build-stable test names: graph class and seed.
+std::string CountParamsName(const ::testing::TestParamInfo<CountParams>& info) {
+  static const char* const kKinds[] = {"tree", "bdeg", "grid", "stars"};
+  return std::string(kKinds[info.param.graph_kind]) + "_seed" +
+         std::to_string(info.param.seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(Graphs, CountingTest,
                          ::testing::Values(CountParams{0, 1},
                                            CountParams{1, 2},
                                            CountParams{2, 3},
-                                           CountParams{3, 4}));
+                                           CountParams{3, 4}),
+                         CountParamsName);
 
 TEST(Counting, TernaryFallsBackToEnumeration) {
   Rng rng(5);

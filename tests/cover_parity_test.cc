@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "cover/kernel.h"
@@ -277,7 +278,13 @@ INSTANTIATE_TEST_SUITE_P(
                       ParityParams{1, 300, 2, 3}, ParityParams{1, 450, 3, 4},
                       ParityParams{2, 320, 2, 5}, ParityParams{2, 480, 1, 6},
                       ParityParams{3, 400, 2, 7},
-                      ParityParams{4, 300, 2, 8}));
+                      ParityParams{4, 300, 2, 8}),
+    [](const ::testing::TestParamInfo<ParityParams>& info) {
+      const ParityParams& p = info.param;
+      return std::string(testing_common::GraphKindName(p.graph_kind)) + "_n" +
+             std::to_string(p.n) + "_r" + std::to_string(p.radius) + "_seed" +
+             std::to_string(p.seed);
+    });
 
 }  // namespace
 }  // namespace nwd

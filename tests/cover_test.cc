@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "cover/kernel.h"
 #include "cover/neighborhood_cover.h"
@@ -17,6 +18,9 @@ struct CoverParams {
   int radius;
   uint64_t seed;
 };
+// gtest names these tests by the parameter's bytes; with no padding those
+// bytes, and so the names, are the same in every build.
+static_assert(std::has_unique_object_representations_v<CoverParams>);
 
 ColoredGraph MakeGraph(int kind, Rng* rng) {
   switch (kind) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "enumerate/engine.h"
 #include "enumerate/enumerator.h"
@@ -82,6 +83,15 @@ struct EngineParams {
   uint64_t seed;
 };
 
+// Readable, build-stable test names: graph class and seed.
+std::string EngineParamsName(
+    const ::testing::TestParamInfo<EngineParams>& info) {
+  static const char* const kKinds[] = {"tree", "bdeg", "grid", "caterpillar",
+                                       "stars"};
+  return std::string(kKinds[info.param.graph_kind]) + "_seed" +
+         std::to_string(info.param.seed);
+}
+
 class EngineBinaryTest : public ::testing::TestWithParam<EngineParams> {};
 
 TEST_P(EngineBinaryTest, MatchesNaiveOnAllBinaryQueries) {
@@ -148,7 +158,8 @@ INSTANTIATE_TEST_SUITE_P(Graphs, EngineBinaryTest,
                                            EngineParams{1, 3},
                                            EngineParams{2, 4},
                                            EngineParams{3, 5},
-                                           EngineParams{4, 6}));
+                                           EngineParams{4, 6}),
+                         EngineParamsName);
 
 class EngineTernaryTest : public ::testing::TestWithParam<EngineParams> {};
 
@@ -179,7 +190,8 @@ INSTANTIATE_TEST_SUITE_P(Graphs, EngineTernaryTest,
                          ::testing::Values(EngineParams{0, 11},
                                            EngineParams{1, 12},
                                            EngineParams{2, 13},
-                                           EngineParams{4, 14}));
+                                           EngineParams{4, 14}),
+                         EngineParamsName);
 
 TEST(Engine, UnaryQueryMaterializes) {
   Rng rng(31);

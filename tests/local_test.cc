@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "cover/neighborhood_cover.h"
 #include "fo/ast.h"
 #include "fo/builders.h"
@@ -88,6 +90,9 @@ struct OracleParams {
   int radius;
   uint64_t seed;
 };
+// gtest names these tests by the parameter's bytes; with no padding those
+// bytes, and so the names, are the same in every build.
+static_assert(std::has_unique_object_representations_v<OracleParams>);
 
 ColoredGraph MakeGraph(int kind, Rng* rng) {
   switch (kind) {

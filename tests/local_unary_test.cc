@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "enumerate/engine.h"
 #include "enumerate/enumerator.h"
 #include "enumerate/local_unary.h"
@@ -158,7 +160,10 @@ INSTANTIATE_TEST_SUITE_P(
         PatternParams{
             "(exists z. E(y,z) & (exists w. E(z,w) & C0(w))) "
             "& !(dist(x,y) <= 1)",
-            5}));
+            5}),
+    [](const ::testing::TestParamInfo<PatternParams>& info) {
+      return "pattern" + std::to_string(info.param.seed);
+    });
 
 }  // namespace
 }  // namespace nwd

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "enumerate/engine.h"
 #include "enumerate/enumerator.h"
 #include "fo/builders.h"
@@ -17,9 +19,12 @@ namespace {
 struct OptionsParams {
   int64_t naive_cutoff;
   int64_t oracle_small_cutoff;
-  int oracle_max_lambda;
+  int64_t oracle_max_lambda;  // 64-bit: no padding before work_budget
   int64_t work_budget;
 };
+// gtest names these tests by the parameter's bytes; with no padding those
+// bytes, and so the names, are the same in every build.
+static_assert(std::has_unique_object_representations_v<OptionsParams>);
 
 class OptionsGridTest : public ::testing::TestWithParam<OptionsParams> {};
 
@@ -31,7 +36,7 @@ TEST_P(OptionsGridTest, AnswersAreOptionIndependent) {
   EngineOptions options;
   options.naive_cutoff = params.naive_cutoff;
   options.oracle.small_cutoff = params.oracle_small_cutoff;
-  options.oracle.max_lambda = params.oracle_max_lambda;
+  options.oracle.max_lambda = static_cast<int>(params.oracle_max_lambda);
   options.oracle.work_budget_multiplier = params.work_budget;
 
   fo::NaiveEvaluator naive(g);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "enumerate/engine.h"
@@ -16,6 +17,7 @@
 #include "fo/ast.h"
 #include "fo/builders.h"
 #include "fo/naive_eval.h"
+#include "fo/parser.h"
 #include "fo/printer.h"
 #include "gen/generators.h"
 #include "tests/property_common.h"
@@ -180,6 +182,39 @@ TEST(BallCacheTest, CaseTwoAnsweringMatchesNaiveAndHitsCache) {
   EXPECT_GT(counters.ball_cache_hits, 0);
   EXPECT_EQ(counters.probes_served, 60);  // 30 Next + 30 Test
   EXPECT_GT(engine.stats().ball_cache_hits, 0);
+}
+
+// Repair's extendable descents are not probes: they run on a private
+// context and the non-counting executor. An edge edit that makes Repair
+// descend, with no probe sent, must leave every answer counter at zero —
+// no ball-cache traffic, no compiled probe — and answers stay exact.
+TEST(BallCacheTest, RepairDescentsStayOutOfAnswerCounters) {
+  Rng rng(77);
+  // Sparse C0 leaves most vertices without a C0 within distance 2, so the
+  // negatives around the edit re-descend.
+  ColoredGraph g = gen::Grid(40, 40, {1, 0.02}, &rng);
+  const fo::ParseResult parsed = fo::ParseFormula("dist(x, y) <= 2 & C0(y)");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EnumerationEngine engine(g, parsed.query);
+  ASSERT_FALSE(engine.used_fallback());
+  ASSERT_NE(engine.compiled_query(), nullptr);
+
+  // A chord between (20, 20) and (22, 22), grid distance 4.
+  const GraphEdit edit = GraphEdit::AddEdge(20 * 40 + 20, 22 * 40 + 22);
+  ASSERT_TRUE(g.ApplyInPlace(edit));
+  EnumerationEngine::RepairStats repair;
+  ASSERT_TRUE(engine.Repair(std::span<const GraphEdit>(&edit, 1), &repair));
+  ASSERT_GT(repair.descents_run, 0);
+
+  const AnswerCounters counters = engine.DrainAnswerStats();
+  EXPECT_EQ(counters.probes_served, 0);
+  EXPECT_EQ(counters.ball_cache_hits, 0);
+  EXPECT_EQ(counters.ball_cache_misses, 0);
+  EXPECT_EQ(counters.compiled_probes, 0);
+  EXPECT_EQ(counters.compiled_insns, 0);
+
+  fo::NaiveEvaluator naive(g);
+  EXPECT_EQ(EnumerateAll(engine), naive.AllSolutions(parsed.query));
 }
 
 TEST(BallCacheTest, ParallelPreprocessingCountsHitsIdentically) {

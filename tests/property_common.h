@@ -52,6 +52,13 @@ inline fo::Query RandomQuery(int arity, int num_colors, Rng* rng) {
   return q;
 }
 
+// The generator class RandomGraph(kind, ...) draws from, for test names.
+inline const char* GraphKindName(int kind) {
+  static const char* const kNames[] = {"tree", "bdeg", "grid", "forest",
+                                       "subdiv"};
+  return kNames[kind % 5];
+}
+
 inline ColoredGraph RandomGraph(int kind, int64_t n, Rng* rng) {
   switch (kind % 5) {
     case 0:

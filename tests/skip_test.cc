@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <type_traits>
 
 #include "cover/kernel.h"
 #include "cover/neighborhood_cover.h"
@@ -61,6 +62,9 @@ struct SkipFuzzParams {
   int max_set_size;
   uint64_t seed;
 };
+// gtest names these tests by the parameter's bytes; with no padding those
+// bytes, and so the names, are the same in every build.
+static_assert(std::has_unique_object_representations_v<SkipFuzzParams>);
 
 class SkipFuzzTest : public ::testing::TestWithParam<SkipFuzzParams> {};
 

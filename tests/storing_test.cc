@@ -4,10 +4,10 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "storing/stored_function.h"
 #include "storing/trie.h"
 #include "util/rng.h"
 
@@ -237,6 +237,13 @@ struct FuzzParams {
   uint64_t seed;
 };
 
+// Readable, build-stable test names: arity, universe and seed.
+std::string FuzzParamsName(const ::testing::TestParamInfo<FuzzParams>& info) {
+  return "arity" + std::to_string(info.param.arity) + "_n" +
+         std::to_string(info.param.n) + "_seed" +
+         std::to_string(info.param.seed);
+}
+
 class StoringFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
 
 Tuple RandomKey(int arity, int64_t n, Rng* rng) {
@@ -329,7 +336,8 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParams{3, 16, 0.5, 6},
                       FuzzParams{3, 10, 0.34, 7},
                       FuzzParams{1, 2, 0.9, 8},
-                      FuzzParams{4, 5, 0.5, 9}));
+                      FuzzParams{4, 5, 0.5, 9}),
+    FuzzParamsName);
 
 // ---- Register-graph validator -----------------------------------------
 //
@@ -530,21 +538,8 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParams{2, 27, 1.0 / 3.0, 13},
                       FuzzParams{2, 64, 0.5, 14},
                       FuzzParams{3, 10, 0.34, 15},
-                      FuzzParams{1, 2, 0.9, 16}));
-
-TEST(StoredFunction, FacadeBasics) {
-  StoredFunction f(2, 50);
-  f.Set({10, 20}, 7);
-  f.Set({10, 30}, 8);
-  EXPECT_EQ(f.size(), 2);
-  EXPECT_EQ(f.Get({10, 20}), std::optional<int64_t>(7));
-  EXPECT_FALSE(f.Get({10, 21}).has_value());
-  const auto seek = f.Seek({10, 21});
-  ASSERT_TRUE(seek.has_value());
-  EXPECT_EQ(seek->first, (Tuple{10, 30}));
-  f.Erase({10, 20});
-  EXPECT_FALSE(f.Contains({10, 20}));
-}
+                      FuzzParams{1, 2, 0.9, 16}),
+    FuzzParamsName);
 
 }  // namespace
 }  // namespace nwd

@@ -1,7 +1,8 @@
 // Property tests for the dynamic-update plane: a stream of random edits
 // (edge insertions, edge deletions, color flips) with mid-stream probes
 // must be bit-identical to a from-scratch engine rebuild after every
-// edit. Covers tree / bounded-degree / grid inputs, thread counts 1-8,
+// edit, and both to the naive evaluator over the edited graph. Covers
+// tree / bounded-degree / grid inputs, thread counts 1-8,
 // budget-tripped (degraded) engines where Repair must decline, and the
 // asynchronous repair lane where probes issued while the engine lags are
 // answered through the degraded lazy path. TSan / ASan twins run the
@@ -15,6 +16,7 @@
 
 #include "dynamic/dynamic_engine.h"
 #include "enumerate/engine.h"
+#include "fo/naive_eval.h"
 #include "fo/parser.h"
 #include "graph/colored_graph.h"
 #include "property_common.h"
@@ -83,9 +85,10 @@ GraphEdit RandomEdit(const ColoredGraph& g, Rng* rng) {
 // Drives one edit stream: a synchronous DynamicEngine consumes random
 // edits one at a time; after every edit its full enumeration and a batch
 // of random membership probes must be bit-identical to an engine built
-// from scratch over an identically mutated reference graph. The
-// reference engine always runs with default (unlimited) options, so this
-// also checks degraded dynamic configurations against ground truth.
+// from scratch over an identically mutated reference graph, and both to
+// the naive evaluator there. The reference engine always runs with
+// default (unlimited) options, so this also checks degraded dynamic
+// configurations against ground truth.
 void RunEditStream(int kind, int arity, uint64_t seed,
                    const EngineOptions& engine_options, int num_edits,
                    int graph_size) {
@@ -108,14 +111,25 @@ void RunEditStream(int kind, int arity, uint64_t seed,
     ASSERT_TRUE(dynamic.in_sync());
 
     EnumerationEngine fresh(reference, query);
-    const std::vector<Tuple> expected = AllAnswers(fresh, n);
+    if (!fresh.used_fallback()) {
+      ASSERT_NE(fresh.compiled_query(), nullptr);
+    }
+    fo::NaiveEvaluator naive(reference);
+    const std::vector<Tuple> expected = naive.AllSolutions(query);
+    ASSERT_EQ(expected, AllAnswers(fresh, n))
+        << "rebuilt engine diverged from the naive evaluator: kind=" << kind
+        << " arity=" << arity << " seed=" << seed << " step=" << step;
     const std::vector<Tuple> actual = AllAnswers(dynamic, n);
     ASSERT_EQ(expected, actual)
         << "enumeration diverged from from-scratch rebuild: kind=" << kind
         << " arity=" << arity << " seed=" << seed << " step=" << step;
     for (int probe = 0; probe < 24; ++probe) {
       const Tuple t = RandomTuple(arity, n, &rng);
-      ASSERT_EQ(fresh.Test(t), dynamic.Test(t))
+      const bool truth = naive.TestTuple(query, t);
+      ASSERT_EQ(truth, fresh.Test(t))
+          << "rebuilt Test diverged: kind=" << kind << " seed=" << seed
+          << " step=" << step;
+      ASSERT_EQ(truth, dynamic.Test(t))
           << "Test diverged: kind=" << kind << " seed=" << seed
           << " step=" << step;
     }
@@ -184,14 +198,6 @@ TEST(UpdatePropertyTest, BudgetTrippedEngineStaysCorrect) {
   if (::testing::Test::HasFatalFailure()) return;
   RunEditStream(/*kind=*/2, /*arity=*/1, /*seed=*/53, tripped,
                 /*num_edits=*/8, /*graph_size=*/60);
-}
-
-// Interpreter path (compiled queries off) must repair identically.
-TEST(UpdatePropertyTest, InterpreterPathMatchesRebuild) {
-  EngineOptions interp;
-  interp.use_compiled_queries = false;
-  RunEditStream(/*kind=*/1, /*arity=*/2, /*seed=*/61, interp,
-                /*num_edits=*/8, /*graph_size=*/70);
 }
 
 // No-op edits (re-adding a present edge, re-asserting a color) must not
