@@ -19,11 +19,13 @@
 // --dump-program prints the flat bytecode the engine compiled it to (a
 // fallback engine has none), then exits.
 //
-// --metrics-json / --metrics-prom / --trace-json enable the observability
-// layer and write its artifacts when the run finishes: a metrics snapshot
-// (nwd-metrics/1 schema or Prometheus text exposition, fleet-scrapeable
-// with tools/nwd-stat) and a chrome://tracing-compatible span timeline
-// covering every prepare stage and answer call.
+// --metrics-json / --metrics-prom / --trace-json write the observability
+// artifacts when the run finishes: a metrics snapshot (nwd-metrics/1
+// schema or Prometheus text exposition, fleet-scrapeable with
+// tools/nwd-stat; these flags turn metrics on) and a chrome://tracing
+// timeline rendered from the always-on flight recorder: every prepare
+// stage and batch call as a span, every other recorded event as an
+// instant, the newest NWD_FLIGHT_CAPACITY events per thread.
 //
 // A probe file holds one probe per line: `test a,b,...`, `next a,b,...`,
 // or a bare tuple `a,b,...` (treated as test). Blank lines and lines
@@ -64,9 +66,9 @@
 #include "fo/parser.h"
 #include "fo/printer.h"
 #include "graph/io.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/prom.h"
-#include "obs/trace.h"
 #include "util/timer.h"
 
 namespace {
@@ -184,7 +186,9 @@ struct ObsExport {
       nwd::obs::MetricsRegistry::Global().WriteJson(metrics);
     }
     if (metrics_prom.is_open()) nwd::obs::WriteGlobalPrometheus(metrics_prom);
-    if (trace.is_open()) nwd::obs::Tracer::Global().WriteJson(trace);
+    if (trace.is_open()) {
+      nwd::obs::FlightRecorder::Global().WriteChromeTrace(trace);
+    }
   }
 };
 
@@ -348,7 +352,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: cannot write trace file '%s'\n", path);
         return 1;
       }
-      nwd::obs::SetTraceEnabled(true);
     } else if (arg == "--answer-threads" && i + 1 < argc) {
       if (!ParseInt64Flag("--answer-threads", argv[++i], 1,
                           &answer_threads)) {

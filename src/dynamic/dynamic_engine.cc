@@ -6,9 +6,7 @@
 #include "fo/naive_eval.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace nwd {
 namespace {
@@ -143,11 +141,11 @@ int64_t DynamicEngine::Apply(std::span<const GraphEdit> edits) {
 void DynamicEngine::SyncBatch(std::vector<GraphEdit> batch,
                               uint64_t origin_rid) {
   // The background lane runs under the originating request's id: every
-  // span and flight event below carries it, so one rid follows an update
-  // from its wire frame into the repair it triggered.
+  // span and flight event below (the engine's repair or rebuild stages
+  // included) carries it, so one rid follows an update from its wire
+  // frame into the stage that was slow.
   obs::RequestScope rid_scope(origin_rid);
   obs::ScopedSpan span("dynamic/sync");
-  Timer timer;
   EnumerationEngine::RepairStats repair_stats;
   bool repaired;
   {
@@ -163,8 +161,7 @@ void DynamicEngine::SyncBatch(std::vector<GraphEdit> batch,
                                                     options_.engine);
     }
   }
-  const double sync_ms = timer.ElapsedSeconds() * 1e3;
-  const int64_t edits = static_cast<int64_t>(batch.size());
+  const double sync_ms = span.End();
   DynamicInstruments& m = Instruments();
   m.batches->Increment();
   (repaired ? m.repairs : m.rebuilds)->Increment();
@@ -177,18 +174,8 @@ void DynamicEngine::SyncBatch(std::vector<GraphEdit> batch,
     m.repair_skips_us->Record(MsToUs(repair_stats.skips_ms));
     m.repair_extendable_us->Record(MsToUs(repair_stats.extendable_ms));
     m.repair_compile_us->Record(MsToUs(repair_stats.compile_ms));
-    obs::FlightRecord(obs::FlightEventKind::kRepairStage, "cover",
-                      MsToUs(repair_stats.cover_ms), edits);
-    obs::FlightRecord(obs::FlightEventKind::kRepairStage, "skips",
-                      MsToUs(repair_stats.skips_ms), edits);
-    obs::FlightRecord(obs::FlightEventKind::kRepairStage, "extendable",
-                      MsToUs(repair_stats.extendable_ms), edits);
-    obs::FlightRecord(obs::FlightEventKind::kRepairStage, "compile",
-                      MsToUs(repair_stats.compile_ms), edits);
   } else {
     m.repair_rebuilds->Increment();
-    obs::FlightRecord(obs::FlightEventKind::kRepairStage, "full_rebuild",
-                      MsToUs(sync_ms), edits);
   }
 
   std::unique_lock<std::shared_mutex> lock(state_mu_);

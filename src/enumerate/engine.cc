@@ -18,11 +18,9 @@
 #include "graph/stats.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace nwd {
 namespace {
@@ -56,6 +54,7 @@ struct EngineInstruments {
   obs::Gauge* answer_contexts;
   obs::Histogram* cover_us;
   obs::Histogram* kernels_us;
+  obs::Histogram* oracle_us;
   obs::Histogram* skips_us;
   obs::Histogram* extendable_us;
   obs::Histogram* compile_us;
@@ -95,6 +94,7 @@ EngineInstruments& Instruments() {
     m->answer_contexts = reg.GetGauge("answer.contexts");
     m->cover_us = reg.GetHistogram("engine.phase.cover_us");
     m->kernels_us = reg.GetHistogram("engine.phase.kernels_us");
+    m->oracle_us = reg.GetHistogram("engine.phase.oracle_us");
     m->skips_us = reg.GetHistogram("engine.phase.skips_us");
     m->extendable_us = reg.GetHistogram("engine.phase.extendable_us");
     m->compile_us = reg.GetHistogram("engine.phase.compile_us");
@@ -259,6 +259,7 @@ void EnumerationEngine::FinalizeBudgetStats() {
     m.oracle_depth->SetMax(stats_.oracle_depth);
     m.cover_us->Record(static_cast<int64_t>(stats_.cover_ms * 1e3));
     m.kernels_us->Record(static_cast<int64_t>(stats_.kernels_ms * 1e3));
+    m.oracle_us->Record(static_cast<int64_t>(stats_.oracle_ms * 1e3));
     m.skips_us->Record(static_cast<int64_t>(stats_.skips_ms * 1e3));
     m.extendable_us->Record(static_cast<int64_t>(stats_.extendable_ms * 1e3));
   }
@@ -312,27 +313,26 @@ bool EnumerationEngine::PrepareLnfMode() {
   // its results in index order, so the built engine is bit-identical to the
   // num_threads == 1 path.
   ThreadPool pool(options_.num_threads);
-  Timer phase_timer;
 
+  // Each stage's span is also its timer: End() fills its Stats field.
   {
     obs::ScopedSpan span("engine/cover");
     strategy_ = MakeAutoStrategy(*graph_);
     cover_ = std::make_unique<NeighborhoodCover>(
         NeighborhoodCover::Build(*graph_, k * r, &budget_));
+    stats_.cover_ms = span.End();
   }
-  stats_.cover_ms = phase_timer.ElapsedSeconds() * 1e3;
   if (StageTripped("engine/cover")) return false;
   budget_.ChargeAllocation(cover_->TotalBagSize() *
                            static_cast<int64_t>(sizeof(Vertex)));
 
-  phase_timer.Restart();
   {
     obs::ScopedSpan span("engine/kernels");
     const std::vector<std::vector<Vertex>> kernel_rows =
         ComputeAllKernels(*graph_, *cover_, r, &pool, &budget_);
     kernels_ = FlatRows<Vertex>(kernel_rows);
+    stats_.kernels_ms = span.End();
   }
-  stats_.kernels_ms = phase_timer.ElapsedSeconds() * 1e3;
   if (StageTripped("engine/kernels")) return false;
   budget_.ChargeAllocation(kernels_.TotalValues() *
                            static_cast<int64_t>(sizeof(Vertex)));
@@ -343,6 +343,7 @@ bool EnumerationEngine::PrepareLnfMode() {
     obs::ScopedSpan span("engine/oracle");
     oracle_ = std::make_unique<DistanceOracle>(*graph_, r, *strategy_,
                                                oracle_options);
+    stats_.oracle_ms = span.End();
   }
   if (StageTripped("engine/oracle")) return false;
   // Arm the dirty overlay now (zero-cost until Repair marks something):
@@ -359,7 +360,6 @@ bool EnumerationEngine::PrepareLnfMode() {
   // distinct signatures (serial — order defines list indices), materialize
   // each list by a color scan sharded over vertex ranges, then fan the
   // independent skip-pointer constructions out across lists.
-  phase_timer.Restart();
   obs::ScopedSpan lists_span("engine/lists");
   std::map<std::vector<std::pair<int, bool>>, int> signature_to_list;
   std::vector<std::vector<std::pair<int, bool>>> signatures;
@@ -423,12 +423,13 @@ bool EnumerationEngine::PrepareLnfMode() {
     if (budget_.Exceeded()) break;  // lists are partial; stage check below
   }
   list_signatures_ = std::move(signatures);  // kept for color-edit repair
-  lists_span.End();
+  const double lists_ms = lists_span.End();
   if (StageTripped("engine/lists")) return false;
 
   // The vertex -> containing-kernels index is shared by every per-list
   // skip structure (the seed rebuilt it once per list); one counting-sort
   // pass over the flattened kernels.
+  obs::ScopedSpan skips_span("engine/skips");
   NWD_CHECK(cover_->complete()) << "skip build over a budget-tripped cover";
   kernels_containing_ = std::make_shared<const FlatRows<int64_t>>(
       SkipPointers::IndexKernels(n, kernels_));
@@ -436,7 +437,6 @@ bool EnumerationEngine::PrepareLnfMode() {
   budget_.ChargeAllocation(kernels_containing_->TotalValues() *
                            static_cast<int64_t>(sizeof(int64_t)));
 
-  obs::ScopedSpan skips_span("engine/skips");
   skips_.resize(lists_.size());
   pool.ParallelFor(
       0, static_cast<int64_t>(lists_.size()), /*grain=*/1,
@@ -446,14 +446,13 @@ bool EnumerationEngine::PrepareLnfMode() {
             skip_set_size, &budget_);
       },
       &budget_);
-  skips_span.End();
+  stats_.skips_ms = lists_ms + skips_span.End();
   if (StageTripped("engine/skips")) return false;
   // Only totalled after the stage check: a canceled ParallelFor leaves
   // null slots, and a tripped sweep leaves partial counts.
   for (const auto& skip : skips_) stats_.skip_entries += skip->TotalEntries();
   budget_.ChargeAllocation(stats_.skip_entries *
                            static_cast<int64_t>(sizeof(Vertex) + 24));
-  stats_.skips_ms = phase_timer.ElapsedSeconds() * 1e3;
 
   // Lower the LNF cases to the flat bytecode programs (src/compile/) before
   // the extendable descents, which run on the executor. Compilation is
@@ -468,7 +467,6 @@ bool EnumerationEngine::PrepareLnfMode() {
   // over the pool with one private ProbeContext per worker (outside the
   // answer pool, so the descents never reach DrainAnswerStats()); the
   // keep/drop flags land in index order.
-  phase_timer.Restart();
   obs::ScopedSpan extendable_span("engine/extendable");
   std::vector<std::unique_ptr<ProbeContext>> contexts(
       static_cast<size_t>(pool.num_threads()));
@@ -504,7 +502,7 @@ bool EnumerationEngine::PrepareLnfMode() {
       }
     }
   }
-  extendable_span.End();
+  stats_.extendable_ms = extendable_span.End();
   if (StageTripped("engine/extendable")) return false;
   // The preprocessing descents' cache traffic lands in stats_; answer-time
   // traffic stays per-context until DrainAnswerStats().
@@ -514,20 +512,18 @@ bool EnumerationEngine::PrepareLnfMode() {
           ctx->ball_cache_hits.load(std::memory_order_relaxed);
     }
   }
-  stats_.extendable_ms = phase_timer.ElapsedSeconds() * 1e3;
   return true;
 }
 
 void EnumerationEngine::CompileQuery() {
   obs::ScopedSpan span("engine/compile");
-  Timer compile_timer;
   std::vector<compile::CaseInputs> inputs;
   inputs.reserve(case_data_.size());
   for (const CaseData& data : case_data_) {
     inputs.push_back(compile::CaseInputs{&data.list_index, &data.extendable0});
   }
   compiled_ = compile::Compile(lnf_, *graph_, inputs);
-  stats_.compile_ms = compile_timer.ElapsedSeconds() * 1e3;
+  stats_.compile_ms = span.End();
 }
 
 bool EnumerationEngine::Extends(size_t case_index, Vertex a0,
@@ -555,7 +551,9 @@ bool EnumerationEngine::Repair(std::span<const GraphEdit> edits,
   }
   obs::ScopedSpan span("engine/repair");
   NWD_CHECK(cover_ != nullptr && oracle_ != nullptr);
-  Timer stage_timer;
+  // Each stage's span fills its RepairStats field; "cover" spans the
+  // damage region, the oracle marks and the cover + kernel patch.
+  obs::ScopedSpan cover_span("engine/repair/cover");
 
   const int k = lnf_.arity;
   const int r = static_cast<int>(lnf_.radius);
@@ -701,10 +699,10 @@ bool EnumerationEngine::Repair(std::span<const GraphEdit> edits,
         static_cast<int64_t>(touched_bags.size()) + stats->new_bags;
   }
 
-  stats->cover_ms = stage_timer.ElapsedSeconds() * 1e3;
-  stage_timer.Restart();
+  stats->cover_ms = cover_span.End();
 
   // --- Candidate-list patching (color edits only) -----------------------
+  obs::ScopedSpan skips_span("engine/repair/skips");
   std::vector<uint8_t> list_changed(lists_.size(), 0);
   for (const GraphEdit& e : edits) {
     if (e.kind != GraphEdit::Kind::kSetColor) continue;
@@ -758,18 +756,17 @@ bool EnumerationEngine::Repair(std::span<const GraphEdit> edits,
   }
   stats_.skip_entries = 0;
   for (const auto& skip : skips_) stats_.skip_entries += skip->TotalEntries();
-  stats->skips_ms = stage_timer.ElapsedSeconds() * 1e3;
-  stage_timer.Restart();
+  stats->skips_ms = skips_span.End();
 
   // --- Bytecode + extendable projections --------------------------------
   // Re-lowering against the current graph retires every constant-folded
   // fact the batch may have invalidated (color counts); the extendable
   // repair then descends on the new program.
   CompileQuery();
-  stats->compile_ms = stage_timer.ElapsedSeconds() * 1e3;
-  stage_timer.Restart();
+  stats->compile_ms = stats_.compile_ms;
+  obs::ScopedSpan extendable_span("engine/repair/extendable");
   RepairExtendable(edit_dist, color_edited, have_edge_edits, stats);
-  stats->extendable_ms = stage_timer.ElapsedSeconds() * 1e3;
+  stats->extendable_ms = extendable_span.End();
 
   generation_.fetch_add(1, std::memory_order_acq_rel);
   return true;
@@ -947,9 +944,7 @@ std::optional<Tuple> EnumerationEngine::Next(const Tuple& from) const {
     NWD_CHECK(v >= 0 && v < graph_->NumVertices())
         << "Next() probe component " << v << " out of range";
   }
-  obs::ScopedSpan span("answer/next");
   ScopedProbeContext ctx(probe_pool_.get());
-  ctx->request_id = obs::CurrentRequestId();
   ctx->probes_served.fetch_add(1, std::memory_order_relaxed);
   if (lazy_next_ != nullptr) {
     // One backtracking search per probe: the lazy twin of an LNF descent,
@@ -971,9 +966,7 @@ std::optional<Tuple> EnumerationEngine::Next(const Tuple& from) const {
 
 bool EnumerationEngine::Test(const Tuple& tuple) const {
   NWD_CHECK_EQ(static_cast<int>(tuple.size()), arity());
-  obs::ScopedSpan span("answer/test");
   ScopedProbeContext ctx(probe_pool_.get());
-  ctx->request_id = obs::CurrentRequestId();
   ctx->probes_served.fetch_add(1, std::memory_order_relaxed);
   if (lazy_eval_ != nullptr) {
     std::lock_guard<std::mutex> lock(lazy_mu_);
@@ -1097,7 +1090,6 @@ std::vector<Tuple> EnumerationEngine::EnumerateParallel(int num_threads,
         if (lo_idx >= hi_idx) return;
         const Vertex last_first = firsts[static_cast<size_t>(hi_idx - 1)];
         ScopedProbeContext ctx(probe_pool_.get());
-        ctx->request_id = rid;
         std::vector<Tuple>& out = parts[static_cast<size_t>(s)];
         Tuple cursor = LexMin(k);
         cursor[0] = firsts[static_cast<size_t>(lo_idx)];

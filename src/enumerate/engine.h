@@ -8,8 +8,9 @@
 //     tau-component fit inside one canonical bag, and, crucially, makes
 //     "outside every kernel of the query vertices' bags" imply "at distance
 //     > r from every query vertex" (the kernel argument of Case I),
-//   * build the distance oracle of Proposition 4.2 (cover + splitter +
-//     removal recursion) for constant-time dist <= d tests,
+//   * build the distance oracle of Proposition 4.2 (cover + splitter
+//     recursion, each level inducing G[X \ {s_X}] of its bags) for
+//     constant-time dist <= d tests,
 //   * per case and per "fresh" position: the candidate lists L (Step 12)
 //     and their skip pointers (Lemma 5.8, Step 13),
 //   * lower the LNF cases to the bytecode programs of src/compile/ (once,
@@ -141,10 +142,12 @@ class EnumerationEngine {
     // Guarded-local unary subformulas materialized as virtual colors (the
     // Unary Theorem 5.3 stand-in widening the fast fragment).
     int64_t local_unaries = 0;
-    // Wall time per preprocessing phase (LNF mode only); the speedup
-    // curves of bench_preprocessing read these.
+    // Wall time per preprocessing phase (LNF mode only), each read off
+    // the stage's span; the speedup curves of bench_preprocessing read
+    // these.
     double cover_ms = 0.0;       // cover construction (+ splitter strategy)
     double kernels_ms = 0.0;     // per-bag r-kernels
+    double oracle_ms = 0.0;      // distance oracle (Proposition 4.2)
     double skips_ms = 0.0;       // candidate-list scans + skip pointers
     double compile_ms = 0.0;     // lowering to bytecode (src/compile/)
     double extendable_ms = 0.0;  // extendable first-coordinate descents

@@ -1,7 +1,7 @@
 #include "enumerate/enumerator.h"
 
+#include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/check.h"
 
 namespace nwd {
@@ -38,7 +38,7 @@ std::optional<Tuple> ConstantDelayEnumerator::NextSolution() {
   if (done_) return std::nullopt;
   const bool metrics = obs::MetricsEnabled();
   const bool first_call = !cursor_.has_value() && last_output_ns_ == 0;
-  const int64_t entry_ns = (metrics && first_call) ? obs::Tracer::NowNs() : 0;
+  const int64_t entry_ns = (metrics && first_call) ? obs::NowNs() : 0;
   std::optional<Tuple> solution;
   if (!cursor_.has_value()) {
     solution = engine_->First();
@@ -57,7 +57,7 @@ std::optional<Tuple> ConstantDelayEnumerator::NextSolution() {
   // so it goes to its own histogram instead of polluting the steady-state
   // delay distribution. Costs a clock read per solution, hence gated.
   if (metrics) {
-    const int64_t now_ns = obs::Tracer::NowNs();
+    const int64_t now_ns = obs::NowNs();
     if (last_output_ns_ != 0) {
       DelayHistogram()->Record(now_ns - last_output_ns_);
     } else if (first_call) {

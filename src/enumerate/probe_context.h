@@ -174,12 +174,6 @@ struct ProbeContext {
   // stamp against the engine's and clears on mismatch.
   uint64_t generation = 0;
 
-  // Request id of the probe currently using this context (0 = none).
-  // Stamped from obs::CurrentRequestId() at every answer entry point
-  // (Test/Next/compiled exec), so engine internals that only see the
-  // context can still attribute work to the originating request.
-  uint64_t request_id = 0;
-
   std::atomic<int64_t> probes_served{0};
   std::atomic<int64_t> descents{0};
   std::atomic<int64_t> ball_cache_hits{0};

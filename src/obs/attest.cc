@@ -14,30 +14,6 @@ namespace nwd {
 namespace obs {
 namespace {
 
-// Same escaping discipline as the other artifact emitters: valid JSON
-// out for any input, all numbers finite.
-void WriteJsonString(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 void WriteDouble(std::ostream& out, double v) {
   if (!std::isfinite(v)) v = 0.0;
   char buf[64];
@@ -164,16 +140,16 @@ BenchParseResult ParseBenchArtifactFile(const std::string& path) {
 
 void WriteBenchArtifactJson(std::ostream& out, const BenchArtifact& artifact) {
   out << "{\"schema\":\"nwd-bench-json/1\",\"benchmark\":";
-  WriteJsonString(out, artifact.benchmark);
+  json::WriteString(out, artifact.benchmark);
   out << ",\"runs\":[";
   bool first_run = true;
   for (const BenchRun& run : artifact.runs) {
     if (!first_run) out << ',';
     first_run = false;
     out << "{\"name\":";
-    WriteJsonString(out, run.name);
+    json::WriteString(out, run.name);
     out << ",\"graph_class\":";
-    WriteJsonString(out, run.graph_class);
+    json::WriteString(out, run.graph_class);
     out << ",\"n\":" << run.n;
     out << ",\"iterations\":" << run.iterations;
     out << ",\"real_ms\":";
@@ -185,7 +161,7 @@ void WriteBenchArtifactJson(std::ostream& out, const BenchArtifact& artifact) {
     for (const auto& [name, value] : run.counters) {
       if (!first_counter) out << ',';
       first_counter = false;
-      WriteJsonString(out, name);
+      json::WriteString(out, name);
       out << ':';
       WriteDouble(out, value);
     }
@@ -395,7 +371,7 @@ void WriteAttestJson(std::ostream& out, const AttestReport& report) {
   out << ",\"sources\":[";
   for (size_t i = 0; i < report.sources.size(); ++i) {
     if (i > 0) out << ',';
-    WriteJsonString(out, report.sources[i]);
+    json::WriteString(out, report.sources[i]);
   }
   out << "],\"claims\":[";
   bool first = true;
@@ -403,13 +379,13 @@ void WriteAttestJson(std::ostream& out, const AttestReport& report) {
     if (!first) out << ',';
     first = false;
     out << "{\"claim\":";
-    WriteJsonString(out, claim.claim);
+    json::WriteString(out, claim.claim);
     out << ",\"graph_class\":";
-    WriteJsonString(out, claim.graph_class);
+    json::WriteString(out, claim.graph_class);
     out << ",\"metric\":";
-    WriteJsonString(out, claim.metric);
+    json::WriteString(out, claim.metric);
     out << ",\"status\":";
-    WriteJsonString(out, StatusName(claim.status));
+    json::WriteString(out, StatusName(claim.status));
     out << ",\"gated\":" << (claim.gated ? "true" : "false");
     out << ",\"bound\":";
     WriteDouble(out, claim.bound);
@@ -430,7 +406,7 @@ void WriteAttestJson(std::ostream& out, const AttestReport& report) {
       out << ']';
     }
     out << "],\"note\":";
-    WriteJsonString(out, claim.note);
+    json::WriteString(out, claim.note);
     out << '}';
   }
   out << "],\"pass\":" << (report.pass ? "true" : "false") << "}\n";
@@ -623,9 +599,9 @@ void WriteBaselineJson(std::ostream& out, const BaselineReport& report) {
     if (!first) out << ',';
     first = false;
     out << "{\"run\":";
-    WriteJsonString(out, diff.run);
+    json::WriteString(out, diff.run);
     out << ",\"metric\":";
-    WriteJsonString(out, diff.metric);
+    json::WriteString(out, diff.metric);
     out << ",\"baseline\":";
     WriteDouble(out, diff.baseline);
     out << ",\"current\":";
@@ -633,18 +609,18 @@ void WriteBaselineJson(std::ostream& out, const BaselineReport& report) {
     out << ",\"ratio\":";
     WriteDouble(out, diff.ratio);
     out << ",\"status\":";
-    WriteJsonString(out, DiffStatusName(diff.status));
+    json::WriteString(out, DiffStatusName(diff.status));
     out << '}';
   }
   out << "],\"only_in_baseline\":[";
   for (size_t i = 0; i < report.only_in_baseline.size(); ++i) {
     if (i > 0) out << ',';
-    WriteJsonString(out, report.only_in_baseline[i]);
+    json::WriteString(out, report.only_in_baseline[i]);
   }
   out << "],\"only_in_current\":[";
   for (size_t i = 0; i < report.only_in_current.size(); ++i) {
     if (i > 0) out << ',';
-    WriteJsonString(out, report.only_in_current[i]);
+    json::WriteString(out, report.only_in_current[i]);
   }
   out << "],\"regressions\":" << report.regressions;
   out << ",\"improvements\":" << report.improvements;

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,15 +11,11 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "obs/json.h"
+
 namespace nwd {
 namespace obs {
 namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 uint64_t CurrentTidHash() {
   thread_local const uint64_t tid =
@@ -103,7 +98,7 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kRequestEnd: return "request_end";
     case FlightEventKind::kEpochPublish: return "epoch_publish";
     case FlightEventKind::kEpochDrain: return "epoch_drain";
-    case FlightEventKind::kRepairStage: return "repair_stage";
+    case FlightEventKind::kSpan: return "span";
     case FlightEventKind::kBudgetTrip: return "budget_trip";
     case FlightEventKind::kFaultFire: return "fault_fire";
     case FlightEventKind::kAdmissionReject: return "admission_reject";
@@ -357,6 +352,57 @@ FlightRecorder::CollectStats FlightRecorder::WriteText(
         << " b=" << e.b << "\n";
   }
   return st;
+}
+
+void FlightRecorder::WriteChromeTrace(std::ostream& out) const {
+  CollectStats st;
+  const std::vector<Event> events = Collect(&st);
+  // A span is stamped when it ends; it began `a` nanoseconds earlier.
+  const auto begin_ns = [](const Event& e) {
+    return e.kind == FlightEventKind::kSpan ? e.ts_ns - e.a : e.ts_ns;
+  };
+  // Timestamps start near 0 whatever the steady_clock epoch.
+  int64_t base_ns = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const int64_t b = begin_ns(events[i]);
+    if (i == 0 || b < base_ns) base_ns = b;
+  }
+  out << "{\"traceEvents\":[";
+  char buf[192];
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    if (i > 0) out << ',';
+    const double ts_us = static_cast<double>(begin_ns(e) - base_ns) / 1e3;
+    const unsigned long long tid = e.tid % 100000;
+    const unsigned long long rid = e.rid;
+    out << "{\"name\":";
+    if (e.kind == FlightEventKind::kSpan) {
+      json::WriteString(out, e.label != nullptr ? e.label : "-");
+      std::snprintf(buf, sizeof(buf),
+                    ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,"
+                    "\"tid\":%llu,\"args\":{\"rid\":%llu}}",
+                    ts_us, static_cast<double>(e.a) / 1e3, tid, rid);
+      out << buf;
+      continue;
+    }
+    json::WriteString(out, FlightEventKindName(e.kind));
+    std::snprintf(buf, sizeof(buf),
+                  ",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,"
+                  "\"tid\":%llu,\"args\":{\"rid\":%llu,\"code\":%u,"
+                  "\"a\":%lld,\"b\":%lld",
+                  ts_us, tid, rid, e.code, static_cast<long long>(e.a),
+                  static_cast<long long>(e.b));
+    out << buf;
+    if (e.label != nullptr) {
+      out << ",\"label\":";
+      json::WriteString(out, e.label);
+    }
+    out << "}}";
+  }
+  out << "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"recorded\":"
+      << st.recorded << ",\"overwritten\":" << st.overwritten
+      << ",\"torn_skipped\":" << st.torn_skipped << ",\"rings\":" << st.rings
+      << "}}\n";
 }
 
 void FlightRecorder::DumpToFd(int fd, size_t max_events_per_ring) const {

@@ -1,26 +1,33 @@
 // Always-on flight recorder + request identity (the observability
-// layer's forensic plane).
+// layer's one event stream).
 //
-// Metrics aggregate and traces sample; neither answers "what was the
-// daemon doing in the last 50 milliseconds before this worker died?".
-// The flight recorder does: every thread that records events owns a
-// fixed-size ring of compact binary events (request start/end, epoch
-// publish/drain, repair stages, budget trips, fault-point fires,
-// admission rejects), written with relaxed atomics on the hot path and
-// merged on read. Memory is bounded (rings are fixed-size and reused
-// across thread lifetimes), the record path allocates nothing in steady
-// state, and a dump is always coherent: each slot is a per-slot seqlock
-// whose sequence number doubles as the event's global index, so a reader
-// can tell a stable event from one being overwritten mid-read — torn
-// events are skipped and counted, never emitted.
+// Metrics aggregate, so they cannot answer "what was the daemon doing
+// in the last 50 milliseconds before this worker died?". The flight
+// recorder does: every thread that records events owns a fixed-size
+// ring of compact binary events (request start/end, epoch publish/drain,
+// spans, budget trips, fault-point fires, admission rejects), written
+// with relaxed atomics on the hot path and merged on read. Memory is
+// bounded (rings are fixed-size and reused across thread lifetimes), the
+// record path allocates nothing in steady state, and a dump is always
+// coherent: each slot is a per-slot seqlock whose sequence number
+// doubles as the event's global index, so a reader can tell a stable
+// event from one being overwritten mid-read — torn events are skipped
+// and counted, never emitted.
+//
+// Spans ride the same rings: an obs::ScopedSpan records one kSpan event
+// when it ends (label = span name, a = duration), so a ring stays in
+// timestamp order and every view — `dump`, slow-request captures, the
+// Chrome trace of WriteChromeTrace — shows the stages next to the
+// requests that ran them. Spans fire once per build, repair, update or
+// batch call, never per probe.
 //
 // Request identity rides the same header: the daemon mints (or adopts) a
 // 64-bit request id per request and installs it in a thread-local via
-// RequestScope; every trace span (obs/trace.h reads it in RecordSpan)
-// and every flight event recorded on that thread carries the id, so one
-// id correlates the wire frame, the spans, the flight events, and the
-// typed error response across epoch swaps and into the repair lane
-// (DynamicEngine forwards the originating id to its background batches).
+// RequestScope; every span and every flight event recorded on that
+// thread carries the id, so one id correlates the wire frame, the
+// stages, and the typed error response across epoch swaps and into the
+// repair lane (DynamicEngine forwards the originating id to its
+// background batches).
 //
 // Concurrency contract: Record() is single-writer per ring (a ring is
 // owned by exactly one live thread; the free-list handoff on thread
@@ -30,15 +37,16 @@
 // enumerate rings; DumpToFd() takes no lock and allocates nothing — it
 // is the path fatal-signal handlers and worker-death forensics use.
 //
-// Toggle mirrors metrics/trace, with the default flipped: the recorder
-// is ON unless NWD_FLIGHT=0 (or SetFlightEnabled(false)) says otherwise
-// — "always-on" is the point, and the per-event cost is a clock read
-// plus a handful of relaxed stores.
+// Toggle: the recorder is ON unless NWD_FLIGHT=0 (or
+// SetFlightEnabled(false)) says otherwise — "always-on" is the point,
+// and the per-event cost is a clock read plus a handful of relaxed
+// stores. Turning it off drops spans too; a span still times its stage.
 
 #ifndef NWD_OBS_FLIGHT_H_
 #define NWD_OBS_FLIGHT_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -49,6 +57,13 @@
 
 namespace nwd {
 namespace obs {
+
+// The one monotonic clock every obs timestamp and duration is read from.
+inline int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 // --- Request identity --------------------------------------------------
 
@@ -83,7 +98,7 @@ enum class FlightEventKind : uint8_t {
   kRequestEnd,       // rid, code=verb ordinal, a=latency_ns, b=alive
   kEpochPublish,     // a=new epoch
   kEpochDrain,       // a=drained epoch, b=drain_ns
-  kRepairStage,      // label=stage, a=duration_us, b=batch edits
+  kSpan,             // label=span name, a=duration_ns; stamped at its end
   kBudgetTrip,       // label=stage, a=work charged
   kFaultFire,        // label=point, a=fire count
   kAdmissionReject,  // a=inflight at rejection
@@ -172,6 +187,14 @@ class FlightRecorder {
   // returned (the daemon's `dump` verb stamps them on its head frame).
   CollectStats WriteText(std::ostream& out, size_t max_events = 0) const;
 
+  // Chrome Trace Event JSON (chrome://tracing, Perfetto) of every ring's
+  // surviving events: a kSpan becomes a complete event (ph "X", ts/dur in
+  // microseconds from the earliest event) and every other event an
+  // instant (ph "i") named by its kind; both carry args.rid. otherData
+  // holds the collection stats (recorded, overwritten, torn_skipped,
+  // rings), so a trace says how much history the rings had already lost.
+  void WriteChromeTrace(std::ostream& out) const;
+
   // Allocation-free best-effort dump for fatal paths (signal handlers,
   // worker death). Walks rings without locking and writes directly to
   // `fd`; `max_events_per_ring` bounds the tail (0 = whole rings).
@@ -236,6 +259,38 @@ inline void FlightRecordFor(uint64_t rid, FlightEventKind kind,
   if (!FlightEnabled()) return;
   FlightRecorder::Global().RecordFor(rid, kind, label, a, b, code);
 }
+
+// A named stage on this thread's timeline, and the stage's timer. When
+// the span ends it records one kSpan event on the global recorder (label
+// = `name`, a = duration in ns, stamped with the thread's request id);
+// End() returns the elapsed milliseconds, which callers store in their
+// Stats whether or not the recorder is on:
+//   obs::ScopedSpan span("engine/cover");
+//   ... work ...
+//   stats.cover_ms = span.End();
+// `name` must be a string literal (the event stores the pointer).
+class ScopedSpan {
+ public:
+  explicit ScopedSpan(const char* name) : name_(name), begin_ns_(NowNs()) {}
+  ~ScopedSpan() { End(); }
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+  // Ends the span now instead of at scope exit. Idempotent: later calls
+  // (and the destructor) record nothing and return the same duration.
+  double End() {
+    if (duration_ns_ < 0) {
+      duration_ns_ = NowNs() - begin_ns_;
+      FlightRecord(FlightEventKind::kSpan, name_, duration_ns_);
+    }
+    return static_cast<double>(duration_ns_) / 1e6;
+  }
+
+ private:
+  const char* name_;
+  int64_t begin_ns_;
+  int64_t duration_ns_ = -1;
+};
 
 }  // namespace obs
 }  // namespace nwd

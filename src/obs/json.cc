@@ -10,6 +10,28 @@ namespace nwd {
 namespace obs {
 namespace json {
 
+void WriteString(std::ostream& out, std::string_view s) {
+  out << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out << "\\\""; break;
+      case '\\': out << "\\\\"; break;
+      case '\n': out << "\\n"; break;
+      case '\r': out << "\\r"; break;
+      case '\t': out << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out << buf;
+        } else {
+          out << c;
+        }
+    }
+  }
+  out << '"';
+}
+
 const Value* Value::Find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;
   for (const auto& [name, value] : object) {

@@ -1,11 +1,13 @@
-// Minimal self-contained JSON reader for the observability artifacts.
+// Minimal self-contained JSON reader for the observability artifacts,
+// plus the string escaper their emitters share.
 //
 // The attestation plane consumes this library's own JSON output —
 // nwd-bench-json/1 (bench_json.h), nwd-metrics/1 (MetricsRegistry),
-// Chrome traces (Tracer), nwd-attest-json/1 (attest.h) — and those
-// documents are produced by hand-rolled emitters, so the reader is the
-// other half of a round-trip contract: everything the emitters write
-// must parse back (tested in attest_test.cc). It is a strict RFC 8259
+// Chrome traces (FlightRecorder::WriteChromeTrace), nwd-attest-json/1
+// (attest.h) — and those documents are produced by hand-rolled emitters,
+// so the reader is the other half of a round-trip contract: everything
+// the emitters write must parse back (tested in attest_test.cc and
+// obs_test.cc). It is a strict RFC 8259
 // parser, not a lenient one: trailing commas, comments, bare NaN/Inf,
 // and trailing garbage after the document are errors, because the whole
 // point of the artifact schemas is that CI can trust them blindly.
@@ -19,6 +21,7 @@
 #define NWD_OBS_JSON_H_
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -77,6 +80,10 @@ ParseResult Parse(std::string_view text);
 
 // Reads `path` and parses it; IO errors surface like parse errors.
 ParseResult ParseFile(const std::string& path);
+
+// Writes `s` as a quoted JSON string, escaped so that any input yields
+// valid JSON.
+void WriteString(std::ostream& out, std::string_view s);
 
 }  // namespace json
 }  // namespace obs

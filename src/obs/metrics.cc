@@ -2,37 +2,15 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
+#include "obs/json.h"
 #include "util/check.h"
 
 namespace nwd {
 namespace obs {
 namespace {
-
-// JSON string escaping for instrument names (ASCII identifiers in
-// practice, but emit valid JSON for anything).
-void WriteJsonString(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
 
 void WriteFiniteDouble(std::ostream& out, double v) {
   if (!std::isfinite(v)) v = 0.0;
@@ -167,7 +145,7 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
       if (value.kind != kind) continue;
       if (!first) out << ',';
       first = false;
-      WriteJsonString(out, name);
+      json::WriteString(out, name);
       out << ':';
       if (kind != InstrumentValue::Kind::kHistogram) {
         out << value.value;

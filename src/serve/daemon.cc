@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -26,12 +25,6 @@
 namespace nwd {
 namespace serve {
 namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Cached serve.* instruments (lookup once, relaxed-atomic forever).
 struct ServeMetrics {
@@ -92,7 +85,7 @@ struct Deadline {
     return d;
   }
   bool Expired() const {
-    return expires_at_ns != 0 && NowNs() >= expires_at_ns;
+    return expires_at_ns != 0 && obs::NowNs() >= expires_at_ns;
   }
 };
 
@@ -292,11 +285,11 @@ void Daemon::HandleConnection(int read_fd, int write_fd,
       if (!SendError(&stream, ErrorCode::kBadRequest, parse_error)) break;
       continue;  // framing is intact; the connection stays usable
     }
-    const int64_t started_ns = NowNs();
+    const int64_t started_ns = obs::NowNs();
     obs::FlightRecord(obs::FlightEventKind::kRequestStart, nullptr, 0, 0,
                       static_cast<uint32_t>(request.op));
     const bool alive = HandleRequest(&stream, request);
-    const int64_t latency_ns = NowNs() - started_ns;
+    const int64_t latency_ns = obs::NowNs() - started_ns;
     obs::FlightRecord(obs::FlightEventKind::kRequestEnd, nullptr, latency_ns,
                       alive ? 1 : 0, static_cast<uint32_t>(request.op));
     if (options_.slow_request_ms > 0 && obs::FlightEnabled() &&
@@ -387,7 +380,7 @@ bool Daemon::HandleRequest(FdStream* stream, const Request& request) {
                                            : ticket.retry_after_ms();
     return SendError(stream, ErrorCode::kRetryAfter, "at capacity", hint);
   }
-  const int64_t admitted_at_ns = NowNs();
+  const int64_t admitted_at_ns = obs::NowNs();
   bool alive = true;
   switch (request.op) {
     case RequestOp::kTest:
@@ -408,7 +401,7 @@ bool Daemon::HandleRequest(FdStream* stream, const Request& request) {
       break;
   }
   if (obs::MetricsEnabled()) {
-    metrics.request_ns->Record(NowNs() - admitted_at_ns);
+    metrics.request_ns->Record(obs::NowNs() - admitted_at_ns);
   }
   return alive;
 }
@@ -429,7 +422,7 @@ bool Daemon::HandleProbe(FdStream* stream, const Request& request) {
                      "tuple component outside [0, n)");
   }
   const Deadline deadline = Deadline::Resolve(
-      request.deadline_ms, options_.default_deadline_ms, NowNs());
+      request.deadline_ms, options_.default_deadline_ms, obs::NowNs());
   if (deadline.Expired()) {
     metrics.deadline_exceeded->Increment();
     return SendError(stream, ErrorCode::kDeadlineExceeded,
@@ -479,7 +472,7 @@ bool Daemon::HandleEnumerate(FdStream* stream, const Request& request,
     }
   }
   const Deadline deadline = Deadline::Resolve(
-      request.deadline_ms, options_.default_deadline_ms, NowNs());
+      request.deadline_ms, options_.default_deadline_ms, obs::NowNs());
   if (engine.engine_stats().degraded) metrics.degraded->Increment();
 
   const std::string epoch_token = " epoch=" + std::to_string(snapshot->epoch);
@@ -725,7 +718,7 @@ void Daemon::RebuildThreadBody() {
     snapshot->source = job->source;
     snapshot->query = query_;
     std::string error;
-    const int64_t started_ns = NowNs();
+    const int64_t started_ns = obs::NowNs();
     if (!BuildGraphFromSource(job->source, options_.parse_limits,
                               &snapshot->graph, &error)) {
       job->ok = false;
@@ -747,7 +740,7 @@ void Daemon::RebuildThreadBody() {
       job->degraded = snapshot->dynamic->engine_stats().degraded;
       job->epoch = registry_.Publish(std::move(snapshot));
     }
-    job->prep_ms = static_cast<double>(NowNs() - started_ns) / 1e6;
+    job->prep_ms = static_cast<double>(obs::NowNs() - started_ns) / 1e6;
     {
       std::lock_guard<std::mutex> lock(rebuild_mu_);
       rebuild_busy_ = false;

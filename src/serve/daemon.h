@@ -38,9 +38,9 @@
 //   5. Request identity + flight recording. Each request runs under a
 //      64-bit request id (client-supplied rid= or minted) installed via
 //      obs::RequestScope; every response frame carries ` rid=N`, every
-//      trace span and flight event the request produces is stamped with
-//      it, and the rebuild/repair lanes inherit the originating id — one
-//      id reconstructs a request's full path across epoch swaps. The
+//      flight event the request produces (its spans included) is stamped
+//      with it, and the rebuild/repair lanes inherit the originating id —
+//      one id reconstructs a request's full path across epoch swaps. The
 //      always-on flight recorder (obs/flight.h) keeps the recent event
 //      history: the `dump` verb returns it over the wire, a simulated
 //      worker death dumps it to stderr (dump_on_death), and requests

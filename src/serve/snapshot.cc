@@ -1,7 +1,6 @@
 #include "serve/snapshot.h"
 
 #include <atomic>
-#include <chrono>
 
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -9,12 +8,6 @@
 namespace nwd {
 namespace serve {
 namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 obs::Gauge* LiveGauge() {
   static obs::Gauge* gauge =
@@ -54,11 +47,11 @@ int64_t SnapshotRegistry::Publish(std::unique_ptr<EngineSnapshot> snapshot) {
   EngineSnapshot* raw = snapshot.release();
   LiveGauge()->Set(g_live_snapshots.fetch_add(1) + 1);
   std::shared_ptr<const EngineSnapshot> published(
-      raw, [retire, drain](const EngineSnapshot* s) {
+      raw, [retire](const EngineSnapshot* s) {
         const int64_t retired_at =
             retire->retired_at_ns.load(std::memory_order_acquire);
         if (retired_at != 0) {
-          const int64_t drain_ns = NowNs() - retired_at;
+          const int64_t drain_ns = obs::NowNs() - retired_at;
           if (obs::MetricsEnabled()) drain->Record(drain_ns);
           obs::FlightRecord(obs::FlightEventKind::kEpochDrain, nullptr,
                             /*a=*/s->epoch, /*b=*/drain_ns);
@@ -84,7 +77,7 @@ int64_t SnapshotRegistry::Publish(std::unique_ptr<EngineSnapshot> snapshot) {
                     /*a=*/epoch);
   if (old != nullptr) {
     swaps->Increment();
-    old_retire->retired_at_ns.store(NowNs(), std::memory_order_release);
+    old_retire->retired_at_ns.store(obs::NowNs(), std::memory_order_release);
     old.reset();  // may run the deleter right here if no probe holds it
   }
   return epoch;

@@ -25,8 +25,8 @@
 //
 // Any request may additionally carry `rid=N` — a client-chosen 64-bit
 // request id. The daemon adopts it (or mints one when absent) and
-// stamps it on every final response frame, every trace span, and every
-// flight-recorder event the request produces, so one id reconstructs
+// stamps it on every final response frame and every flight-recorder
+// event the request produces, spans included, so one id reconstructs
 // the request's path end to end (see obs/flight.h). `dump` returns the
 // flight recorder's merged recent history.
 //

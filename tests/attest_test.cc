@@ -13,7 +13,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/quantile.h"
-#include "obs/trace.h"
 
 namespace nwd {
 namespace obs {
@@ -611,27 +610,6 @@ TEST(RoundTripTest, PopulatedMetricsRegistryJsonParses) {
     bucket_sum += b.number;
   }
   EXPECT_DOUBLE_EQ(bucket_sum, 100.0);
-}
-
-TEST(RoundTripTest, TracerJsonParsesIncludingDroppedEvents) {
-  Tracer tracer;
-  const int64_t base = Tracer::NowNs();
-  // Overfill the bounded buffer so dropped_events lands in otherData.
-  for (size_t i = 0; i < Tracer::kMaxEvents + 10; ++i) {
-    tracer.RecordSpan("span/fill", base, base + 100);
-  }
-  EXPECT_EQ(tracer.dropped_events(), 10);
-  std::ostringstream out;
-  tracer.WriteJson(out);
-  const auto parsed = json::Parse(out.str());
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  const json::Value* events = parsed.value.Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  EXPECT_EQ(events->array.size(), Tracer::kMaxEvents);
-  EXPECT_EQ(events->array[0].Find("ph")->string, "X");
-  const json::Value* other = parsed.value.Find("otherData");
-  ASSERT_NE(other, nullptr);
-  EXPECT_DOUBLE_EQ(other->Find("dropped_events")->number, 10.0);
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ TEST_F(FlightTest, RecordedEventsComeBackDecodedAndStamped) {
   {
     RequestScope scope(42);
     recorder.Record(FlightEventKind::kRequestStart, "test", 0, 0, 3);
-    recorder.Record(FlightEventKind::kRepairStage, "cover", 120, 5);
+    recorder.Record(FlightEventKind::kSpan, "engine/cover", 120, 5);
   }
   recorder.RecordFor(77, FlightEventKind::kEpochDrain, nullptr, 2, 999);
 
@@ -109,7 +109,8 @@ TEST_F(FlightTest, RecordedEventsComeBackDecodedAndStamped) {
   EXPECT_EQ(uint64_t{42}, events[0].rid);
   EXPECT_STREQ("test", events[0].label);
   EXPECT_EQ(uint32_t{3}, events[0].code);
-  EXPECT_EQ(FlightEventKind::kRepairStage, events[1].kind);
+  EXPECT_EQ(FlightEventKind::kSpan, events[1].kind);
+  EXPECT_STREQ("engine/cover", events[1].label);
   EXPECT_EQ(120, events[1].a);
   EXPECT_EQ(5, events[1].b);
   EXPECT_EQ(uint64_t{77}, events[2].rid) << "RecordFor overrides the scope";
@@ -336,8 +337,7 @@ TEST_F(FlightTest, EventKindNamesAreStableTokens) {
                FlightEventKindName(FlightEventKind::kRequestStart));
   EXPECT_STREQ("epoch_drain",
                FlightEventKindName(FlightEventKind::kEpochDrain));
-  EXPECT_STREQ("repair_stage",
-               FlightEventKindName(FlightEventKind::kRepairStage));
+  EXPECT_STREQ("span", FlightEventKindName(FlightEventKind::kSpan));
   EXPECT_STREQ("worker_death",
                FlightEventKindName(FlightEventKind::kWorkerDeath));
   EXPECT_STREQ("none", FlightEventKindName(FlightEventKind::kNone));

@@ -8,80 +8,13 @@
 #include "fo/naive_eval.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
-#include "graph/builder.h"
 #include "local/distance_oracle.h"
-#include "local/edgeless_eval.h"
 #include "local/local_evaluator.h"
 #include "splitter/strategy.h"
 #include "util/rng.h"
 
 namespace nwd {
 namespace {
-
-// ---- EdgelessEvaluator: the lambda = 1 base case ----
-
-class EdgelessTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(EdgelessTest, AgreesWithNaiveOnRandomFormulas) {
-  Rng rng(GetParam());
-  GraphBuilder builder(20, 2);
-  for (Vertex v = 0; v < 20; ++v) {
-    for (int c = 0; c < 2; ++c) {
-      if (rng.NextBool(0.4)) builder.SetColor(v, c);
-    }
-  }
-  const ColoredGraph g = std::move(builder).Build();
-  fo::NaiveEvaluator naive(g);
-  EdgelessEvaluator fast(g);
-
-  using namespace fo;  // NOLINT
-  const std::vector<FormulaPtr> formulas = {
-      Exists(2, And(Color(0, 2), Color(1, 2))),
-      Forall(2, Or(Color(0, 2), Color(1, 2))),
-      Exists(2, And(Not(Equals(0, 2)), Color(0, 2))),
-      Exists(2, Exists(3, And(Not(Equals(2, 3)),
-                              And(Color(0, 2), Color(0, 3))))),
-      // Three pairwise-distinct C0 vertices.
-      Exists(2,
-             Exists(3,
-                    Exists(4, AndAll({Not(Equals(2, 3)), Not(Equals(2, 4)),
-                                      Not(Equals(3, 4)), Color(0, 2),
-                                      Color(0, 3), Color(0, 4)})))),
-      Exists(2, Edge(0, 2)),            // always false on edgeless graphs
-      Exists(2, DistLeq(0, 2, 3)),      // only x itself
-      Forall(2, Not(Edge(0, 2))),
-  };
-  for (size_t fi = 0; fi < formulas.size(); ++fi) {
-    for (Vertex a = 0; a < g.NumVertices(); ++a) {
-      std::vector<Vertex> env_a(8, kUnbound);
-      env_a[0] = a;
-      std::vector<Vertex> env_b = env_a;
-      EXPECT_EQ(naive.Evaluate(formulas[fi], &env_a),
-                fast.Evaluate(formulas[fi], &env_b))
-          << "formula " << fi << " a=" << a;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EdgelessTest, ::testing::Range(0, 6));
-
-TEST(Edgeless, CountingDistinguishesMultiplicities) {
-  // One blue vertex vs two: "exists two distinct blues" must differ.
-  GraphBuilder one(3, 1);
-  one.SetColor(0, 0);
-  GraphBuilder two(3, 1);
-  two.SetColor(0, 0);
-  two.SetColor(1, 0);
-  const ColoredGraph g1 = std::move(one).Build();
-  const ColoredGraph g2 = std::move(two).Build();
-  using namespace fo;  // NOLINT
-  const FormulaPtr phi = Exists(
-      0, Exists(1, AndAll({Not(Equals(0, 1)), Color(0, 0), Color(0, 1)})));
-  std::vector<Vertex> env(2, kUnbound);
-  EXPECT_FALSE(EdgelessEvaluator(g1).Evaluate(phi, &env));
-  env.assign(2, kUnbound);
-  EXPECT_TRUE(EdgelessEvaluator(g2).Evaluate(phi, &env));
-}
 
 // ---- DistanceOracle: Proposition 4.2 ----
 

@@ -73,6 +73,22 @@ foreach(u RANGE 0 59)
 endforeach()
 file(WRITE "${CLIQUE_GRAPH}" "${clique_lines}")
 
+# A 60-vertex path with both colors on a stride: past the naive cutoff,
+# so the LNF engine (cover, kernels, skips, bytecode) runs on it.
+set(PATH_GRAPH "${WORK_DIR}/path60.g")
+set(path_lines "graph 60 2\n")
+foreach(u RANGE 0 58)
+  math(EXPR v "${u} + 1")
+  string(APPEND path_lines "e ${u} ${v}\n")
+endforeach()
+foreach(v RANGE 0 59 2)
+  string(APPEND path_lines "c ${v} 0\n")
+endforeach()
+foreach(v RANGE 0 59 3)
+  string(APPEND path_lines "c ${v} 1\n")
+endforeach()
+file(WRITE "${PATH_GRAPH}" "${path_lines}")
+
 set(GOOD_PROBES "${WORK_DIR}/good.probes")
 file(WRITE "${GOOD_PROBES}"
   "# mixed probe kinds; blank lines and comments are skipped\n"
@@ -226,10 +242,11 @@ if(NOT LAST_STDOUT MATCHES "served 0 probes")
 endif()
 
 # Observability artifacts: both exports must be written, parse as JSON,
-# and carry their schema markers plus answer-path coverage.
+# and carry their schema markers plus answer-path coverage. The path graph
+# takes the LNF engine, so the trace holds every prepare stage as a span.
 set(METRICS_JSON "${WORK_DIR}/metrics.json")
 set(TRACE_JSON "${WORK_DIR}/trace.json")
-run(obs_export 0 "" "${GOOD_GRAPH}" "(x, y) := E(x, y)"
+run(obs_export 0 "" "${PATH_GRAPH}" "(x, y) := E(x, y)"
     --probe-file "${GOOD_PROBES}"
     --metrics-json "${METRICS_JSON}" --trace-json "${TRACE_JSON}")
 foreach(artifact "${METRICS_JSON}" "${TRACE_JSON}")
@@ -253,8 +270,17 @@ string(JSON trace_events ERROR_VARIABLE json_err GET "${trace_doc}" traceEvents)
 if(NOT json_err STREQUAL "NOTFOUND")
   message(SEND_ERROR "obs_export: bad trace JSON (${json_err}):\n${trace_doc}")
 endif()
-if(NOT trace_doc MATCHES "engine/prepare")
-  message(SEND_ERROR "obs_export: trace lacks the prepare span:\n${trace_doc}")
+foreach(stage prepare cover)
+  if(NOT trace_doc MATCHES "\"name\":\"engine/${stage}\",\"ph\":\"X\"")
+    message(SEND_ERROR
+      "obs_export: trace lacks the engine/${stage} span:\n${trace_doc}")
+  endif()
+endforeach()
+string(JSON overwritten ERROR_VARIABLE json_err
+  GET "${trace_doc}" otherData overwritten)
+if(NOT json_err STREQUAL "NOTFOUND")
+  message(SEND_ERROR
+    "obs_export: trace lacks otherData.overwritten (${json_err})")
 endif()
 
 # --- SIGPIPE robustness ---------------------------------------------------
@@ -294,20 +320,6 @@ endif()
 # The bytecode listing is the debugging interface for the query compiler;
 # pin it exactly (modulo the timing line and trailing pad spaces) so any
 # lowering or peephole change shows up as a reviewable diff here.
-set(PATH_GRAPH "${WORK_DIR}/path60.g")
-set(path_lines "graph 60 2\n")
-foreach(u RANGE 0 58)
-  math(EXPR v "${u} + 1")
-  string(APPEND path_lines "e ${u} ${v}\n")
-endforeach()
-foreach(v RANGE 0 59 2)
-  string(APPEND path_lines "c ${v} 0\n")
-endforeach()
-foreach(v RANGE 0 59 3)
-  string(APPEND path_lines "c ${v} 1\n")
-endforeach()
-file(WRITE "${PATH_GRAPH}" "${path_lines}")
-
 run(dump_program 0 "" "${PATH_GRAPH}" "(x, y) := dist(x, y) > 1 & C0(x)"
     --dump-program)
 string(REGEX REPLACE "preprocessing: [^\n]*\n" "" dump_out "${LAST_STDOUT}")

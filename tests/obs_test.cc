@@ -1,7 +1,8 @@
 // Observability layer: instrument semantics (counter/gauge/histogram),
-// registry snapshot + JSON export, tracer buffering and bounded-drop
-// behavior, and the engine integration contract — answer-phase traffic
-// reaches the process registry by the time the engine is destroyed.
+// registry snapshot + JSON export, spans as flight events and stage
+// timers (with the Chrome trace rendered from the rings), and the engine
+// integration contract — answer-phase traffic reaches the process
+// registry by the time the engine is destroyed.
 //
 // The TSan twin (obs_test_tsan, label `tsan`) reruns the concurrency
 // tests against the instrumented library: many probe threads mutating
@@ -11,19 +12,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "enumerate/engine.h"
 #include "fo/builders.h"
 #include "fo/parser.h"
+#include "obs/flight.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/prom.h"
-#include "obs/trace.h"
 #include "tests/property_common.h"
 #include "util/rng.h"
 
@@ -31,10 +38,13 @@ namespace nwd {
 namespace {
 
 using obs::Counter;
+using obs::FlightEventKind;
+using obs::FlightRecorder;
 using obs::Gauge;
 using obs::Histogram;
 using obs::MetricsRegistry;
-using obs::Tracer;
+using obs::RequestScope;
+namespace json = obs::json;
 
 TEST(Counter, AddsAndReads) {
   Counter c;
@@ -139,57 +149,221 @@ TEST(Registry, ResetForTestZeroesEverything) {
   EXPECT_EQ(snap.at("h").histogram.count, 0);
 }
 
-TEST(TracerTest, RecordsSpansAndExportsChromeFormat) {
-  Tracer tracer;
-  const int64_t t0 = Tracer::NowNs();
-  tracer.RecordSpan("stage/a", t0, t0 + 1500);
-  tracer.RecordSpan("stage/b", t0 + 2000, t0 + 2300);
-  EXPECT_EQ(tracer.event_count(), 2u);
-  EXPECT_EQ(tracer.dropped_events(), 0);
+// --- Spans: flight events and stage timers (flight.h) --------------------
+
+// Every surviving kSpan event on the global recorder
+// labelled `name`, oldest first.
+std::vector<FlightRecorder::Event> SpansNamed(std::string_view name) {
+  std::vector<FlightRecorder::Event> out;
+  for (const FlightRecorder::Event& e : FlightRecorder::Global().Collect()) {
+    if (e.kind == FlightEventKind::kSpan && e.label != nullptr &&
+        name == e.label) {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
+TEST(SpanTest, RecordsOneFlightEventWithNameDurationAndRid) {
+  obs::SetFlightEnabled(true);
+  double explicit_ms = 0.0;
+  {
+    obs::RequestScope scope(4711);
+    obs::ScopedSpan span("span_test/explicit");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    explicit_ms = span.End();
+    EXPECT_EQ(explicit_ms, span.End()) << "End() is idempotent";
+    // The destructor must not record a second event.
+  }
+  {
+    obs::ScopedSpan span("span_test/implicit");
+  }
+  const std::vector<FlightRecorder::Event> explicit_spans =
+      SpansNamed("span_test/explicit");
+  ASSERT_EQ(1u, explicit_spans.size());
+  EXPECT_EQ(uint64_t{4711}, explicit_spans[0].rid);
+  EXPECT_GE(explicit_ms, 2.0);
+  EXPECT_EQ(explicit_ms, static_cast<double>(explicit_spans[0].a) / 1e6)
+      << "the event's a is the duration End() returned, in ns";
+  const std::vector<FlightRecorder::Event> implicit_spans =
+      SpansNamed("span_test/implicit");
+  ASSERT_EQ(1u, implicit_spans.size());
+  EXPECT_EQ(uint64_t{0}, implicit_spans[0].rid);
+  EXPECT_GE(implicit_spans[0].a, 0);
+}
+
+TEST(SpanTest, DisabledRecorderDropsSpansButStillTimes) {
+  obs::SetFlightEnabled(false);
+  double ms = 0.0;
+  {
+    obs::ScopedSpan span("span_test/off");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ms = span.End();
+  }
+  obs::SetFlightEnabled(true);
+  EXPECT_GE(ms, 1.0) << "a span times its stage with the recorder off";
+  EXPECT_TRUE(SpansNamed("span_test/off").empty());
+}
+
+// Every prepare stage is a span under the building thread's rid, and each
+// Stats timing is exactly its stage span's duration.
+TEST(SpanTest, EnginePrepareStagesAreSpansThatFillStats) {
+  obs::SetFlightEnabled(true);
+  Rng rng(96);
+  const ColoredGraph g = testing_common::RandomGraph(1, 120, &rng);
+  const fo::ParseResult r = fo::ParseFormula("dist(x, y) <= 1");
+  ASSERT_TRUE(r.ok) << r.error;
+  EngineOptions options;
+  options.naive_cutoff = 10;
+  options.oracle.small_cutoff = 8;
+  constexpr uint64_t kRid = 9091;
+  std::unique_ptr<EnumerationEngine> engine;
+  {
+    obs::RequestScope scope(kRid);
+    engine = std::make_unique<EnumerationEngine>(g, r.query, options);
+  }
+  ASSERT_FALSE(engine->used_fallback());
+  const EnumerationEngine::Stats& stats = engine->stats();
+  const std::pair<const char*, double> stages[] = {
+      {"engine/cover", stats.cover_ms},
+      {"engine/kernels", stats.kernels_ms},
+      {"engine/oracle", stats.oracle_ms},
+      {"engine/compile", stats.compile_ms},
+      {"engine/extendable", stats.extendable_ms}};
+  for (const auto& [name, ms] : stages) {
+    const std::vector<FlightRecorder::Event> spans = SpansNamed(name);
+    ASSERT_FALSE(spans.empty()) << name;
+    EXPECT_EQ(kRid, spans.back().rid) << name;
+    EXPECT_EQ(ms, static_cast<double>(spans.back().a) / 1e6) << name;
+  }
+  const std::vector<FlightRecorder::Event> lists = SpansNamed("engine/lists");
+  const std::vector<FlightRecorder::Event> skips = SpansNamed("engine/skips");
+  ASSERT_FALSE(lists.empty());
+  ASSERT_FALSE(skips.empty());
+  EXPECT_DOUBLE_EQ(stats.skips_ms,
+                   static_cast<double>(lists.back().a) / 1e6 +
+                       static_cast<double>(skips.back().a) / 1e6);
+  const std::vector<FlightRecorder::Event> prepare =
+      SpansNamed("engine/prepare");
+  ASSERT_FALSE(prepare.empty());
+  EXPECT_EQ(kRid, prepare.back().rid);
+  EXPECT_GE(static_cast<double>(prepare.back().a) / 1e6,
+            stats.cover_ms + stats.kernels_ms + stats.oracle_ms +
+                stats.skips_ms + stats.compile_ms + stats.extendable_ms);
+}
+
+// The Chrome trace rendered from the rings parses back: spans as "X"
+// events with their duration, other events as instants carrying the rid,
+// labels escaped, and otherData counting what the rings already lost.
+TEST(SpanTest, ChromeTraceFromFlightRingsRoundTripsThroughJson) {
+  obs::SetFlightEnabled(true);
+  FlightRecorder recorder(/*capacity=*/8);
+  {
+    RequestScope scope(42);
+    recorder.Record(FlightEventKind::kRequestStart, "test", 0, 0, 3);
+    for (int i = 0; i < 6; ++i) {
+      recorder.Record(FlightEventKind::kSpan, "stage/a", 1500);
+    }
+    recorder.Record(FlightEventKind::kFaultFire,
+                    obs::InternFlightLabel("point \"q\"\n"), 1);
+  }
+  recorder.Record(FlightEventKind::kSpan, "stage/b", 300);
+  recorder.Record(FlightEventKind::kEpochPublish, nullptr, 7);
+  // 10 events into an 8-slot ring: the two oldest are overwritten.
   std::ostringstream out;
-  tracer.WriteJson(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"stage/a\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  // The earliest span is normalized to ts 0 and dur 1500ns = 1.5us.
-  EXPECT_NE(json.find("\"ts\":0.000,\"dur\":1.500"), std::string::npos);
+  recorder.WriteChromeTrace(out);
+  const json::ParseResult parsed = json::Parse(out.str());
+  ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << out.str();
+  const json::Value* events = parsed.value.Find("traceEvents");
+  ASSERT_NE(nullptr, events);
+  ASSERT_EQ(8u, events->array.size());
+  int spans = 0;
+  int instants = 0;
+  double min_ts = 1e300;
+  for (const json::Value& e : events->array) {
+    const std::string& ph = e.Find("ph")->string;
+    const json::Value* args = e.Find("args");
+    ASSERT_NE(nullptr, args);
+    ASSERT_NE(nullptr, args->Find("rid"));
+    min_ts = std::min(min_ts, e.Find("ts")->number);
+    const std::string& name = e.Find("name")->string;
+    if (ph == "X") {
+      ++spans;
+      if (name == "stage/a") {
+        EXPECT_DOUBLE_EQ(1.5, e.Find("dur")->number);
+        EXPECT_DOUBLE_EQ(42.0, args->Find("rid")->number);
+      } else {
+        EXPECT_EQ("stage/b", name);
+        EXPECT_DOUBLE_EQ(0.3, e.Find("dur")->number);
+        EXPECT_DOUBLE_EQ(0.0, args->Find("rid")->number);
+      }
+    } else {
+      EXPECT_EQ("i", ph);
+      ++instants;
+      if (name == "fault_fire") {
+        EXPECT_EQ("point \"q\"\n", args->Find("label")->string);
+        EXPECT_DOUBLE_EQ(42.0, args->Find("rid")->number);
+      } else {
+        EXPECT_EQ("epoch_publish", name);
+        EXPECT_DOUBLE_EQ(7.0, args->Find("a")->number);
+      }
+    }
+  }
+  EXPECT_EQ(6, spans);  // request_start and one stage/a were lapped
+  EXPECT_EQ(2, instants);
+  EXPECT_DOUBLE_EQ(0.0, min_ts) << "timestamps start at the earliest event";
+  const json::Value* other = parsed.value.Find("otherData");
+  ASSERT_NE(nullptr, other);
+  EXPECT_DOUBLE_EQ(10.0, other->Find("recorded")->number);
+  EXPECT_DOUBLE_EQ(2.0, other->Find("overwritten")->number);
+  EXPECT_DOUBLE_EQ(0.0, other->Find("torn_skipped")->number);
+  EXPECT_DOUBLE_EQ(1.0, other->Find("rings")->number);
 }
 
-TEST(TracerTest, BoundedBufferDropsTailAndCounts) {
-  Tracer tracer;
-  const int64_t t0 = Tracer::NowNs();
-  for (size_t i = 0; i < Tracer::kMaxEvents + 10; ++i) {
-    tracer.RecordSpan("spam", t0, t0 + 1);
+// Four threads end spans while a reader collects and renders the global
+// rings: race-free under the TSan twin, no span lost or half-read.
+TEST(SpanTest, ConcurrentSpansAndCollectAreRaceFree) {
+  obs::SetFlightEnabled(true);
+  constexpr int kThreads = 4;
+  constexpr int kSpansPerThread = 256;
+  constexpr uint64_t kRidBase = 77000;
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (const FlightRecorder::Event& e :
+           FlightRecorder::Global().Collect()) {
+        if (e.label == nullptr ||
+            std::string_view(e.label) != "span_test/concurrent") {
+          continue;
+        }
+        ASSERT_EQ(FlightEventKind::kSpan, e.kind);
+        ASSERT_GE(e.a, 0);
+        ASSERT_GE(e.rid, kRidBase);
+        ASSERT_LT(e.rid, kRidBase + kThreads);
+      }
+      std::ostringstream sink;
+      FlightRecorder::Global().WriteChromeTrace(sink);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([t] {
+      obs::RequestScope scope(kRidBase + static_cast<uint64_t>(t));
+      for (int i = 0; i < kSpansPerThread; ++i) {
+        obs::ScopedSpan span("span_test/concurrent");
+      }
+    });
   }
-  EXPECT_EQ(tracer.event_count(), Tracer::kMaxEvents);
-  EXPECT_EQ(tracer.dropped_events(), 10);
-  std::ostringstream out;
-  tracer.WriteJson(out);
-  EXPECT_NE(out.str().find("\"dropped_events\":10"), std::string::npos);
-}
-
-TEST(TracerTest, ScopedSpanRecordsOnceEvenWithExplicitEnd) {
-  Tracer tracer;
-  {
-    obs::ScopedSpan span("explicit", &tracer);
-    span.End();
-    // Destructor must not record a second event.
+  for (std::thread& t : writers) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  std::vector<int> per_rid(kThreads, 0);
+  for (const FlightRecorder::Event& e : SpansNamed("span_test/concurrent")) {
+    ++per_rid[static_cast<size_t>(e.rid - kRidBase)];
   }
-  {
-    obs::ScopedSpan span("implicit", &tracer);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(kSpansPerThread, per_rid[static_cast<size_t>(t)]) << t;
   }
-  EXPECT_EQ(tracer.event_count(), 2u);
-}
-
-TEST(TracerTest, DisabledScopedSpanRecordsNothing) {
-  obs::SetTraceEnabled(false);
-  const size_t before = Tracer::Global().event_count();
-  {
-    obs::ScopedSpan span("off");
-  }
-  EXPECT_EQ(Tracer::Global().event_count(), before);
 }
 
 // Engine integration: answer-phase probes reach the global registry by

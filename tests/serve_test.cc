@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,7 +25,6 @@
 #include "fo/parser.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "serve/admission.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -909,18 +909,16 @@ TEST_F(DaemonTest, DumpVerbReturnsFlightHistory) {
 }
 
 // The acceptance case for request-scoped tracing: one client-supplied id
-// correlates the wire frame, the trace span, and the flight events of a
-// single request.
+// correlates the wire frame, the Chrome trace rendered from the flight
+// rings, and the flight events of a single request.
 TEST_F(DaemonTest, RidCorrelatesWireTraceAndFlightEvents) {
   Start();
   const int fd = Connect();
   Client client(fd, fd, /*seed=*/43);
   Response response;
   constexpr uint64_t kRid = 424242;
-  obs::SetTraceEnabled(true);
   ASSERT_TRUE(client.Call("test 0,1 rid=" + std::to_string(kRid),
                           &response));
-  obs::SetTraceEnabled(false);
   ASSERT_TRUE(response.ok) << response.head;
 
   // Wire: the daemon adopted the client's id on the final frame.
@@ -928,9 +926,9 @@ TEST_F(DaemonTest, RidCorrelatesWireTraceAndFlightEvents) {
   EXPECT_NE(std::string::npos,
             response.head.find(" rid=" + std::to_string(kRid)));
 
-  // Trace: the request's spans carry the same id in their args.
+  // Trace: the request's events carry the same id in their args.
   std::ostringstream trace;
-  obs::Tracer::Global().WriteJson(trace);
+  obs::FlightRecorder::Global().WriteChromeTrace(trace);
   EXPECT_NE(std::string::npos,
             trace.str().find("\"rid\":" + std::to_string(kRid)));
 
@@ -939,6 +937,60 @@ TEST_F(DaemonTest, RidCorrelatesWireTraceAndFlightEvents) {
   ASSERT_TRUE(response.ok) << response.head;
   EXPECT_NE(std::string::npos,
             response.body.find("rid=" + std::to_string(kRid)));
+  ::close(fd);
+}
+
+// The labels of the `kind=span` lines of a dump body recorded under `rid`.
+std::set<std::string> SpanLabelsForRid(const std::string& dump,
+                                       uint64_t rid) {
+  std::set<std::string> labels;
+  std::istringstream lines(dump);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find(" kind=span ") == std::string::npos) continue;
+    if (FindToken(line, "rid") != std::to_string(rid)) continue;
+    labels.insert(FindToken(line, "label").value_or(""));
+  }
+  return labels;
+}
+
+// A reload's and an update's stages reach `dump` as span events under the
+// request's rid, with no switch set: the rid of a slow reload or update
+// names the stage that was slow.
+TEST_F(DaemonTest, ReloadAndUpdateStagesDumpUnderTheirRid) {
+  Start();
+  const int fd = Connect();
+  Client client(fd, fd, /*seed=*/45);
+  Response response;
+  // A 30x30 grid: the chord 0-2 in its corner damages few enough bags
+  // that the update is repaired in place rather than rebuilt.
+  constexpr uint64_t kReloadRid = 616161;
+  ASSERT_TRUE(client.Call(
+      "reload gen:grid:900:1 rid=" + std::to_string(kReloadRid), &response));
+  ASSERT_TRUE(response.ok) << response.head;
+  constexpr uint64_t kUpdateRid = 626262;
+  ASSERT_TRUE(client.Call(
+      "update add:0,2 wait=1 rid=" + std::to_string(kUpdateRid), &response));
+  ASSERT_TRUE(response.ok) << response.head;
+  ASSERT_TRUE(client.Call("dump", &response));
+  ASSERT_TRUE(response.ok) << response.head;
+
+  const std::set<std::string> reload =
+      SpanLabelsForRid(response.body, kReloadRid);
+  for (const char* stage :
+       {"engine/prepare", "engine/cover", "engine/kernels", "engine/oracle",
+        "engine/lists", "engine/skips", "engine/compile",
+        "engine/extendable"}) {
+    EXPECT_EQ(1u, reload.count(stage)) << stage << "\n" << response.body;
+  }
+  const std::set<std::string> update =
+      SpanLabelsForRid(response.body, kUpdateRid);
+  for (const char* stage :
+       {"dynamic/apply", "dynamic/sync", "engine/repair",
+        "engine/repair/cover", "engine/repair/skips", "engine/compile",
+        "engine/repair/extendable"}) {
+    EXPECT_EQ(1u, update.count(stage)) << stage << "\n" << response.body;
+  }
   ::close(fd);
 }
 
