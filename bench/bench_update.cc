@@ -1,13 +1,13 @@
 // Experiment E18 — dynamic update cost vs full rebuild. One benchmark
-// iteration is one localized edge edit applied through the synchronous
-// DynamicEngine (serving-graph mutation + in-place engine repair); the
-// from-scratch engine build on the same graph is timed once per run and
-// emitted alongside, so the artifact carries the update-vs-rebuild ratio
-// the dynamic plane exists to win. Edits are confined to one corner of a
-// grid: the damage region stays far below the repair-decline threshold,
-// so every batch must take the localized-repair path — a single full
-// rebuild, or a final answer set that diverges from a fresh engine,
-// fails the binary (exit 1), not just the numbers.
+// iteration is one localized edge edit applied through the DynamicEngine
+// and waited into sync (serving-graph mutation + in-place engine repair
+// on the repair lane); the from-scratch engine build on the same graph is
+// timed once per run and emitted alongside, so the artifact carries the
+// update-vs-rebuild ratio the dynamic plane exists to win. Edits are
+// confined to one corner of a grid: the damage region stays far below the
+// repair-decline threshold, so every batch must take the localized-repair
+// path — a single full rebuild, or a final answer set that diverges from
+// a fresh engine, fails the binary (exit 1), not just the numbers.
 //
 // The iteration count is pinned (->Iterations), so the edit stream and
 // the final graph are deterministic and `solutions` is an exact-match
@@ -108,14 +108,13 @@ void BM_UpdateRepair(benchmark::State& state) {
   const double rebuild_ms = rebuild_timer.ElapsedSeconds() * 1e3;
 
   const std::vector<GraphEdit> edits = EditCycle(base, kEditsPerRun);
-  DynamicEngine::Options options;
-  options.synchronous = true;
-  DynamicEngine dynamic(base, query, options);
+  DynamicEngine dynamic(base, query);
 
   size_t at = 0;
   for (auto _ : state) {
     dynamic.Apply(
         std::span<const GraphEdit>(&edits[at % edits.size()], 1));
+    dynamic.WaitForSync();
     ++at;
   }
 

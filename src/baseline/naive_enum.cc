@@ -1,6 +1,7 @@
 #include "baseline/naive_enum.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "fo/analysis.h"
 #include "util/check.h"
@@ -148,6 +149,32 @@ std::optional<Tuple> BacktrackingEnumerator::Next(const Tuple& from) {
   Tuple out;
   if (NextImpl(0, from, /*tight=*/true, &env, &out)) return out;
   return std::nullopt;
+}
+
+BaselineAnswers::BaselineAnswers(std::vector<Tuple> sorted_solutions)
+    : solutions_(std::move(sorted_solutions)) {}
+
+BaselineAnswers::BaselineAnswers(const ColoredGraph& g, const fo::Query& query)
+    : search_(std::make_unique<BacktrackingEnumerator>(g, query)) {}
+
+bool BaselineAnswers::Test(const Tuple& tuple) const {
+  // std::vector's operator< is the lexicographic order of equal arities.
+  if (search_ == nullptr) {
+    return std::binary_search(solutions_.begin(), solutions_.end(), tuple);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return search_->Test(tuple);
+}
+
+std::optional<Tuple> BaselineAnswers::Next(const Tuple& from) const {
+  if (search_ == nullptr) {
+    const auto it =
+        std::lower_bound(solutions_.begin(), solutions_.end(), from);
+    if (it == solutions_.end()) return std::nullopt;
+    return *it;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return search_->Next(from);
 }
 
 }  // namespace nwd

@@ -1,5 +1,6 @@
 // Baseline evaluation strategies the paper's engine is compared against
-// (experiments E1, E2, E10) and the fallback for unsupported queries.
+// (experiments E1, E2, E10), and BaselineAnswers, the engines' one
+// correctness fallback.
 //
 // BacktrackingEnumerator assigns the free variables left to right and
 // prunes a partial assignment as soon as the formula is falsified under
@@ -10,6 +11,8 @@
 #define NWD_BASELINE_NAIVE_ENUM_H_
 
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -36,6 +39,10 @@ class BacktrackingEnumerator {
   // functionality, in O(n^k) worst-case time).
   std::optional<Tuple> Next(const Tuple& from);
 
+  // Whether `tuple` (aligned with the query's free variables) is a
+  // solution, through the naive evaluator.
+  bool Test(const Tuple& tuple) { return eval_.TestTuple(query_, tuple); }
+
  private:
   // Kleene evaluation: -1 false, 0 unknown, +1 true, given that variables
   // with env[v] != kUnbound are assigned.
@@ -56,6 +63,32 @@ class BacktrackingEnumerator {
   fo::Query query_;  // owned copy: callers may pass temporaries
   fo::NaiveEvaluator eval_;
   BfsScratch scratch_;
+};
+
+// Answers Test/Next whenever Theorem 2.3's structures are absent, from
+// either
+//   * the sorted solution set (preprocessing Step 1 on small graphs, and
+//     sentences, unary and unsupported queries), or
+//   * one lazy BacktrackingEnumerator over a borrowed graph (budget-tripped
+//     engines, budgeted graphs too big to materialize, and DynamicEngine's
+//     lag lane while a repair runs).
+// Thread-safe: the set is read-only, and the search keeps BFS scratch, so
+// lazy answers serialize behind one mutex. The search derives nothing
+// from the graph's edges or colors ahead of a call, so the caller may
+// mutate the graph in place between calls.
+class BaselineAnswers {
+ public:
+  explicit BaselineAnswers(std::vector<Tuple> sorted_solutions);
+  // Borrows `g`; it must outlive this object.
+  BaselineAnswers(const ColoredGraph& g, const fo::Query& query);
+
+  bool Test(const Tuple& tuple) const;
+  std::optional<Tuple> Next(const Tuple& from) const;
+
+ private:
+  const std::vector<Tuple> solutions_;  // empty when lazy
+  mutable std::mutex mu_;
+  const std::unique_ptr<BacktrackingEnumerator> search_;  // guarded by mu_
 };
 
 }  // namespace nwd

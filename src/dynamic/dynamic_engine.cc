@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "baseline/naive_enum.h"
-#include "fo/naive_eval.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -15,8 +13,6 @@ struct DynamicInstruments {
   obs::Counter* edits_applied;
   obs::Counter* edits_noop;
   obs::Counter* batches;
-  obs::Counter* repairs;
-  obs::Counter* rebuilds;
   obs::Counter* lazy_probes;
   obs::Histogram* sync_us;
   // repair.* plane: the RepairStats breakdown as fleet-scrapeable
@@ -38,8 +34,6 @@ DynamicInstruments& Instruments() {
     m->edits_applied = reg.GetCounter("dynamic.edits_applied");
     m->edits_noop = reg.GetCounter("dynamic.edits_noop");
     m->batches = reg.GetCounter("dynamic.batches");
-    m->repairs = reg.GetCounter("dynamic.repairs");
-    m->rebuilds = reg.GetCounter("dynamic.full_rebuilds");
     m->lazy_probes = reg.GetCounter("dynamic.lazy_probes");
     m->sync_us = reg.GetHistogram("dynamic.sync_us");
     m->repair_repairs = reg.GetCounter("repair.repairs");
@@ -60,44 +54,30 @@ int64_t MsToUs(double ms) { return static_cast<int64_t>(ms * 1e3); }
 }  // namespace
 
 DynamicEngine::DynamicEngine(ColoredGraph graph, fo::Query query,
-                             Options options)
+                             EngineOptions options)
     : query_(std::move(query)),
       options_(options),
       serving_graph_(std::move(graph)),
-      engine_graph_(serving_graph_) {
+      engine_graph_(serving_graph_),
+      lag_(serving_graph_, query_) {
   num_vertices_ = serving_graph_.NumVertices();
   num_colors_ = serving_graph_.NumColors();
   engine_ = std::make_unique<EnumerationEngine>(engine_graph_, query_,
-                                                options_.engine);
-  // The degraded pair is built once: both borrow the serving graph and
-  // keep only BFS scratch, so in-place graph mutation under the state
-  // lock never invalidates them.
-  lazy_eval_ = std::make_unique<fo::NaiveEvaluator>(serving_graph_);
-  lazy_next_ = std::make_unique<BacktrackingEnumerator>(serving_graph_,
-                                                        query_);
-  if (!options_.synchronous) {
-    repair_thread_ = std::thread(&DynamicEngine::RepairThreadBody, this);
-  }
+                                                options_);
+  repair_thread_ = std::thread(&DynamicEngine::RepairThreadBody, this);
 }
 
-DynamicEngine::DynamicEngine(ColoredGraph graph, fo::Query query)
-    : DynamicEngine(std::move(graph), std::move(query), Options()) {}
-
 DynamicEngine::~DynamicEngine() {
-  if (repair_thread_.joinable()) {
-    {
-      std::unique_lock<std::shared_mutex> lock(state_mu_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    repair_thread_.join();
+  {
+    std::unique_lock<std::shared_mutex> lock(state_mu_);
+    stop_ = true;
   }
+  work_cv_.notify_all();
+  repair_thread_.join();
 }
 
 int64_t DynamicEngine::Apply(std::span<const GraphEdit> edits) {
   obs::ScopedSpan span("dynamic/apply");
-  std::vector<GraphEdit> effective;
-  effective.reserve(edits.size());
   int64_t applied = 0;
   {
     std::unique_lock<std::shared_mutex> lock(state_mu_);
@@ -111,7 +91,7 @@ int64_t DynamicEngine::Apply(std::span<const GraphEdit> edits) {
             << "edit color out of range";
       }
       if (serving_graph_.ApplyInPlace(e)) {
-        effective.push_back(e);
+        pending_.push_back(e);
         ++applied;
       }
     }
@@ -120,21 +100,13 @@ int64_t DynamicEngine::Apply(std::span<const GraphEdit> edits) {
     Instruments().edits_applied->Add(applied);
     Instruments().edits_noop->Add(static_cast<int64_t>(edits.size()) -
                                   applied);
-    if (effective.empty()) return applied;
+    if (applied == 0) return applied;
     in_sync_ = false;
-    stats_.in_sync = false;
-    if (!options_.synchronous) {
-      pending_.insert(pending_.end(), effective.begin(), effective.end());
-      // Attribute the eventual background sync to the request that queued
-      // it (coalesced batches credit the newest requester).
-      pending_rid_ = obs::CurrentRequestId();
-    }
+    // Attribute the eventual background sync to the request that queued
+    // it (coalesced batches credit the newest requester).
+    pending_rid_ = obs::CurrentRequestId();
   }
-  if (options_.synchronous) {
-    SyncBatch(std::move(effective), obs::CurrentRequestId());
-  } else {
-    work_cv_.notify_one();
-  }
+  work_cv_.notify_one();
   return applied;
 }
 
@@ -158,13 +130,12 @@ void DynamicEngine::SyncBatch(std::vector<GraphEdit> batch,
       // local-unary rewrite, ...): rebuild from the already-current copy.
       engine_.reset();
       engine_ = std::make_unique<EnumerationEngine>(engine_graph_, query_,
-                                                    options_.engine);
+                                                    options_);
     }
   }
   const double sync_ms = span.End();
   DynamicInstruments& m = Instruments();
   m.batches->Increment();
-  (repaired ? m.repairs : m.rebuilds)->Increment();
   m.sync_us->Record(static_cast<int64_t>(sync_ms * 1e3));
   if (repaired) {
     m.repair_repairs->Increment();
@@ -190,7 +161,6 @@ void DynamicEngine::SyncBatch(std::vector<GraphEdit> batch,
   stats_.total_sync_ms += sync_ms;
   if (pending_.empty()) {
     in_sync_ = true;
-    stats_.in_sync = true;
     sync_cv_.notify_all();
   }
 }
@@ -217,24 +187,24 @@ std::optional<Tuple> DynamicEngine::Next(const Tuple& from) const {
   std::shared_lock<std::shared_mutex> lock(state_mu_);
   if (in_sync_) {
     engine_probes_.fetch_add(1, std::memory_order_relaxed);
-    return engine_->Next(from);
+    return engine_->Next(from);  // the engine checks the probe
   }
+  CheckProbe(from, arity(), num_vertices_);
   lazy_probes_.fetch_add(1, std::memory_order_relaxed);
   Instruments().lazy_probes->Increment();
-  std::lock_guard<std::mutex> lazy_lock(lazy_mu_);
-  return lazy_next_->Next(from);
+  return lag_.Next(from);
 }
 
 bool DynamicEngine::Test(const Tuple& tuple) const {
   std::shared_lock<std::shared_mutex> lock(state_mu_);
   if (in_sync_) {
     engine_probes_.fetch_add(1, std::memory_order_relaxed);
-    return engine_->Test(tuple);
+    return engine_->Test(tuple);  // the engine checks the probe
   }
+  CheckProbe(tuple, arity(), num_vertices_);
   lazy_probes_.fetch_add(1, std::memory_order_relaxed);
   Instruments().lazy_probes->Increment();
-  std::lock_guard<std::mutex> lazy_lock(lazy_mu_);
-  return lazy_eval_->TestTuple(query_, tuple);
+  return lag_.Test(tuple);
 }
 
 std::optional<Tuple> DynamicEngine::First() const {

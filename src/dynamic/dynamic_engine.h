@@ -14,11 +14,11 @@
 //
 // Probes take the state lock shared. When the engine is in sync they go
 // through the full LNF machinery; while a repair is in flight they answer
-// through the same degraded lazy path a budget-tripped engine uses (naive
-// evaluator + backtracking search over the serving graph) — correct by
+// through the lag lane, the same BaselineAnswers search a budget-tripped
+// engine answers through, over the serving graph — correct by
 // construction, just slower, and never blocked behind the repair lane.
-// Synchronous mode (Options::synchronous) runs the repair inline inside
-// Apply() instead — deterministic, for tests and benchmarks.
+// Callers that need the engine caught up (tests, benchmarks, the daemon's
+// `update … wait=1`) follow Apply() with WaitForSync().
 
 #ifndef NWD_DYNAMIC_DYNAMIC_ENGINE_H_
 #define NWD_DYNAMIC_DYNAMIC_ENGINE_H_
@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/naive_enum.h"
 #include "enumerate/engine.h"
 #include "fo/ast.h"
 #include "graph/colored_graph.h"
@@ -41,21 +42,8 @@
 
 namespace nwd {
 
-namespace fo {
-class NaiveEvaluator;
-}  // namespace fo
-class BacktrackingEnumerator;
-
 class DynamicEngine {
  public:
-  struct Options {
-    EngineOptions engine;
-    // Run repair inline inside Apply() on the caller's thread instead of
-    // the background lane. Apply() then returns with the engine in sync —
-    // the deterministic mode tests and benchmarks use.
-    bool synchronous = false;
-  };
-
   struct UpdateStats {
     int64_t edits_applied = 0;  // edits that changed the serving graph
     int64_t edits_noop = 0;     // already-present / already-absent edits
@@ -67,26 +55,30 @@ class DynamicEngine {
     EnumerationEngine::RepairStats last_repair;
     bool in_sync = true;
     int64_t engine_probes = 0;  // probes answered by the LNF engine
-    int64_t lazy_probes = 0;    // probes answered by the degraded path
+    int64_t lazy_probes = 0;    // probes answered by the lag lane
   };
 
   // Takes ownership of the graph (the dynamic plane must be the only
-  // mutator). Builds the initial engine eagerly.
-  DynamicEngine(ColoredGraph graph, fo::Query query, Options options);
-  DynamicEngine(ColoredGraph graph, fo::Query query);
+  // mutator). Builds the initial engine eagerly, and every rebuild, with
+  // `options`.
+  DynamicEngine(ColoredGraph graph, fo::Query query,
+                EngineOptions options = {});
   ~DynamicEngine();
 
   DynamicEngine(const DynamicEngine&) = delete;
   DynamicEngine& operator=(const DynamicEngine&) = delete;
 
   // Applies the edits to the serving graph (immediately visible to every
-  // subsequent probe) and schedules the engine repair. Returns the number
-  // of edits that changed the graph; no-ops are dropped before they reach
-  // the repair lane. Vertex and color ids must be in range.
+  // subsequent probe) and schedules the engine repair on the background
+  // lane. Returns the number of edits that changed the graph; no-ops are
+  // dropped before they reach the repair lane. Vertex and color ids must
+  // be in range.
   int64_t Apply(std::span<const GraphEdit> edits);
 
-  // Probe API, mirroring EnumerationEngine. Thread-safe, never blocks on
-  // the repair lane, and always answers against the current serving graph.
+  // Probe API, mirroring EnumerationEngine: both lanes abort on a probe
+  // with a component outside [0, NumVertices()). Thread-safe, never
+  // blocks on the repair lane, and always answers against the current
+  // serving graph.
   std::optional<Tuple> Next(const Tuple& from) const;
   bool Test(const Tuple& tuple) const;
   std::optional<Tuple> First() const;
@@ -98,7 +90,7 @@ class DynamicEngine {
 
   // Whether the engine has caught up with every applied edit.
   bool in_sync() const;
-  // Blocks until the repair lane drains (tests; a no-op when in sync).
+  // Blocks until the repair lane drains (a no-op when in sync).
   void WaitForSync() const;
 
   // Counters snapshot (consistent under the state lock).
@@ -118,7 +110,7 @@ class DynamicEngine {
   void RepairThreadBody();
 
   const fo::Query query_;
-  const Options options_;
+  const EngineOptions options_;
   int64_t num_vertices_ = 0;
   int num_colors_ = 0;
 
@@ -139,12 +131,9 @@ class DynamicEngine {
   ColoredGraph engine_graph_;
   std::unique_ptr<EnumerationEngine> engine_;
 
-  // Degraded answer path over the serving graph. Both evaluators borrow
-  // the graph and keep only BFS scratch, so they stay correct as the
-  // graph mutates in place; their scratch serializes behind lazy_mu_.
-  mutable std::mutex lazy_mu_;
-  std::unique_ptr<fo::NaiveEvaluator> lazy_eval_;
-  std::unique_ptr<BacktrackingEnumerator> lazy_next_;
+  // The lag lane: a lazy search over the serving graph, which Apply()
+  // mutates in place only while holding state_mu_ exclusively.
+  const BaselineAnswers lag_;
 
   mutable std::atomic<int64_t> engine_probes_{0};
   mutable std::atomic<int64_t> lazy_probes_{0};

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <map>
 #include <span>
-#include <thread>
 #include <utility>
 
 #include "baseline/naive_enum.h"
@@ -14,7 +13,6 @@
 #include "cover/kernel.h"
 #include "enumerate/sentences.h"
 #include "fo/analysis.h"
-#include "fo/naive_eval.h"
 #include "graph/stats.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -138,10 +136,11 @@ EnumerationEngine::EnumerationEngine(const ColoredGraph& g,
   if (query_.arity() == 0) {
     stats_.fallback = true;
     stats_.fallback_reason = "sentence: decided by the model checker";
-    const SentenceResult decided = CheckSentence(g, query_.formula);
-    if (decided.holds) materialized_.push_back({});
-    stats_.materialized_solutions =
-        static_cast<int64_t>(materialized_.size());
+    // The solution set is the one empty tuple iff the sentence holds.
+    std::vector<Tuple> solutions;
+    if (CheckSentence(g, query_.formula).holds) solutions.emplace_back();
+    stats_.materialized_solutions = static_cast<int64_t>(solutions.size());
+    baseline_ = std::make_unique<BaselineAnswers>(std::move(solutions));
     FinalizeBudgetStats();
     return;
   }
@@ -184,12 +183,13 @@ EnumerationEngine::EnumerationEngine(const ColoredGraph& g,
     if (options_.budget.HasLimits() && n > options_.naive_cutoff) {
       // Materializing all solutions is itself O(n^k) work a budgeted
       // caller never signed up for; answer lazily instead.
-      UseLazyBaseline();
+      stats_.lazy_fallback = true;
+      baseline_ = std::make_unique<BaselineAnswers>(*graph_, query_);
     } else {
-      BacktrackingEnumerator baseline(*graph_, query_);
-      materialized_ = baseline.AllSolutions();
-      stats_.materialized_solutions =
-          static_cast<int64_t>(materialized_.size());
+      std::vector<Tuple> solutions =
+          BacktrackingEnumerator(*graph_, query_).AllSolutions();
+      stats_.materialized_solutions = static_cast<int64_t>(solutions.size());
+      baseline_ = std::make_unique<BaselineAnswers>(std::move(solutions));
     }
     FinalizeBudgetStats();
     return;
@@ -226,14 +226,8 @@ void EnumerationEngine::DegradeAfterTrip() {
   const std::string reason = budget_.trip_reason();
   stats_.fallback_reason =
       "degraded: " + (reason.empty() ? std::string("budget exceeded") : reason);
-  UseLazyBaseline();
-}
-
-void EnumerationEngine::UseLazyBaseline() {
-  stats_.fallback = true;
   stats_.lazy_fallback = true;
-  lazy_eval_ = std::make_unique<fo::NaiveEvaluator>(*graph_);
-  lazy_next_ = std::make_unique<BacktrackingEnumerator>(*graph_, query_);
+  baseline_ = std::make_unique<BaselineAnswers>(*graph_, query_);
 }
 
 void EnumerationEngine::FinalizeBudgetStats() {
@@ -939,72 +933,42 @@ std::optional<Tuple> EnumerationEngine::NextLnf(const Tuple& from,
 }
 
 std::optional<Tuple> EnumerationEngine::Next(const Tuple& from) const {
-  NWD_CHECK_EQ(static_cast<int>(from.size()), arity());
-  for (Vertex v : from) {
-    NWD_CHECK(v >= 0 && v < graph_->NumVertices())
-        << "Next() probe component " << v << " out of range";
-  }
+  CheckProbe(from, arity(), graph_->NumVertices());
   ScopedProbeContext ctx(probe_pool_.get());
   ctx->probes_served.fetch_add(1, std::memory_order_relaxed);
-  if (lazy_next_ != nullptr) {
-    // One backtracking search per probe: the lazy twin of an LNF descent,
-    // so degraded-mode drains report comparable work.
-    ctx->descents.fetch_add(1, std::memory_order_relaxed);
-    // The lazy evaluators keep internal scratch; serialize.
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    return lazy_next_->Next(from);
-  }
-  if (stats_.fallback) {
-    const auto it = std::lower_bound(
-        materialized_.begin(), materialized_.end(), from,
-        [](const Tuple& a, const Tuple& b) { return LexCompare(a, b) < 0; });
-    if (it == materialized_.end()) return std::nullopt;
-    return *it;
+  if (baseline_ != nullptr) {
+    // A lazy answer is one backtracking search: the twin of an LNF
+    // descent, so degraded-mode drains report comparable work.
+    if (stats_.lazy_fallback) {
+      ctx->descents.fetch_add(1, std::memory_order_relaxed);
+    }
+    return baseline_->Next(from);
   }
   return NextLnf(from, ctx.get());
 }
 
 bool EnumerationEngine::Test(const Tuple& tuple) const {
-  NWD_CHECK_EQ(static_cast<int>(tuple.size()), arity());
+  CheckProbe(tuple, arity(), graph_->NumVertices());
   ScopedProbeContext ctx(probe_pool_.get());
   ctx->probes_served.fetch_add(1, std::memory_order_relaxed);
-  if (lazy_eval_ != nullptr) {
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    return lazy_eval_->TestTuple(query_, tuple);
-  }
-  if (stats_.fallback) {
-    return std::binary_search(
-        materialized_.begin(), materialized_.end(), tuple,
-        [](const Tuple& a, const Tuple& b) { return LexCompare(a, b) < 0; });
-  }
+  if (baseline_ != nullptr) return baseline_->Test(tuple);
   const compile::ExecEnv env{graph_, oracle_.get(), cover_.get(), &skips_};
   return compile::ExecTest(*compiled_, env, tuple, ctx.get());
 }
 
 std::optional<Tuple> EnumerationEngine::First() const {
-  if (arity() == 0) {
-    // Sentence: materialized mode stores the empty tuple iff true.
-    if (stats_.fallback) {
-      return materialized_.empty() ? std::nullopt
-                                   : std::make_optional(materialized_[0]);
-    }
-    return std::nullopt;
-  }
+  // Sentences are always answered by the baseline: the empty tuple iff
+  // the sentence holds.
+  if (arity() == 0) return baseline_->Next({});
   if (graph_->NumVertices() == 0) return std::nullopt;
   return Next(LexMin(arity()));
-}
-
-int EnumerationEngine::ResolveAnswerThreads(int num_threads) {
-  if (num_threads > 0) return num_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 std::vector<uint8_t> EnumerationEngine::TestBatch(
     const std::vector<Tuple>& probes, int num_threads) const {
   obs::ScopedSpan span("answer/test_batch");
   std::vector<uint8_t> out(probes.size(), 0);
-  ThreadPool pool(ResolveAnswerThreads(num_threads));
+  ThreadPool pool(num_threads);
   pool.ParallelFor(0, static_cast<int64_t>(probes.size()), /*grain=*/8,
                    [&](int64_t i, int) {
                      out[static_cast<size_t>(i)] =
@@ -1017,7 +981,7 @@ std::vector<std::optional<Tuple>> EnumerationEngine::NextBatch(
     const std::vector<Tuple>& froms, int num_threads) const {
   obs::ScopedSpan span("answer/next_batch");
   std::vector<std::optional<Tuple>> out(froms.size());
-  ThreadPool pool(ResolveAnswerThreads(num_threads));
+  ThreadPool pool(num_threads);
   pool.ParallelFor(0, static_cast<int64_t>(froms.size()), /*grain=*/8,
                    [&](int64_t i, int) {
                      out[static_cast<size_t>(i)] =
@@ -1032,18 +996,11 @@ std::vector<Tuple> EnumerationEngine::EnumerateParallel(int num_threads,
   obs::ScopedSpan span("answer/enumerate");
   const int k = arity();
   const int64_t n = graph_->NumVertices();
-  if (stats_.fallback) {
-    if (lazy_next_ == nullptr) {
-      // Materialized mode already holds the sorted stream; slice it.
-      int64_t count = static_cast<int64_t>(materialized_.size());
-      if (limit >= 0) count = std::min(count, limit);
-      return std::vector<Tuple>(materialized_.begin(),
-                                materialized_.begin() + count);
-    }
-    // Lazy mode answers through a stateful evaluator; enumerate serially
-    // (exactly the ConstantDelayEnumerator loop).
+  if (baseline_ != nullptr) {
+    // The baseline answers from one ordered structure, so there is nothing
+    // to shard: run exactly the ConstantDelayEnumerator loop.
     std::vector<Tuple> out;
-    if (k == 0 || n == 0) return out;
+    if (k > 0 && n == 0) return out;
     Tuple cursor = LexMin(k);
     for (;;) {
       if (limit >= 0 && static_cast<int64_t>(out.size()) >= limit) break;
@@ -1071,13 +1028,12 @@ std::vector<Tuple> EnumerationEngine::EnumerateParallel(int num_threads,
   firsts.erase(std::unique(firsts.begin(), firsts.end()), firsts.end());
   if (firsts.empty()) return {};
 
-  const int threads = ResolveAnswerThreads(num_threads);
-  const int64_t num_shards =
-      std::min<int64_t>(threads, static_cast<int64_t>(firsts.size()));
+  ThreadPool pool(num_threads);
+  const int64_t num_shards = std::min<int64_t>(
+      pool.num_threads(), static_cast<int64_t>(firsts.size()));
   const int64_t per_shard =
       (static_cast<int64_t>(firsts.size()) + num_shards - 1) / num_shards;
   std::vector<std::vector<Tuple>> parts(static_cast<size_t>(num_shards));
-  ThreadPool pool(threads);
   // Pool workers don't inherit the caller's thread-local request id;
   // capture it here so sharded work still attributes to the request.
   const uint64_t rid = obs::CurrentRequestId();

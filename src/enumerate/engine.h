@@ -23,7 +23,13 @@
 // (EngineOptions::num_threads) with results collected in index order, so
 // the built engine is bit-identical at any thread count.
 //
-// Answer-time, all through the bytecode executor (src/compile/exec.h):
+// Answer-time, an engine answers in one of two modes. Outside the LNF
+// fragment, and when a budget trip abandoned preprocessing, every answer
+// comes from BaselineAnswers (src/baseline/): the sorted solution set
+// (preprocessing Step 1 on small graphs, sentences, unary and
+// unsupported queries) or, for degraded engines and budgeted graphs too
+// big to materialize, one lazy backtracking search. Otherwise every
+// answer runs through the bytecode executor (src/compile/exec.h):
 //   * Test(tuple): the Test program checks each live (tau, i) case's
 //     distance types through the oracle plus its literals; O(1) per case
 //     (Corollary 2.4).
@@ -45,9 +51,10 @@
 // accumulate in per-context counters drained on demand through
 // DrainAnswerStats(). Preprocessing and Repair run their descents on
 // private contexts, so those counters see probes only. Answers are
-// bit-identical regardless of the number of concurrent callers. The
-// degraded/lazy fallback paths keep internal scratch and serialize
-// behind a mutex — correct under concurrency, faster single-threaded.
+// bit-identical regardless of the number of concurrent callers. The lazy
+// baseline's one search keeps BFS scratch and serializes behind the
+// BaselineAnswers mutex — correct under concurrency, faster
+// single-threaded; the materialized set answers lock-free.
 //
 // Deviations from the paper, both documented in DESIGN.md:
 //   * within-component "smallest valid member" is found by scanning the
@@ -61,7 +68,8 @@
 //     position 0 is materialized as extendable (extendable0).
 //
 // Unsupported queries (quantifiers) transparently fall back to the
-// baseline; `used_fallback()` reports it.
+// baseline; `used_fallback()` reports it. Test and Next abort on a probe
+// of the wrong arity or with a component outside [0, n), in every mode.
 
 #ifndef NWD_ENUMERATE_ENGINE_H_
 #define NWD_ENUMERATE_ENGINE_H_
@@ -69,7 +77,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -92,13 +99,10 @@
 
 namespace nwd {
 
-class BacktrackingEnumerator;
+class BaselineAnswers;
 namespace compile {
 class CompiledQuery;
 }  // namespace compile
-namespace fo {
-class NaiveEvaluator;
-}  // namespace fo
 
 struct EngineOptions {
   // Graphs with at most this many vertices are handled by materializing
@@ -162,8 +166,9 @@ class EnumerationEngine {
     // trip ("engine/cover", "engine/kernels", "engine/oracle",
     // "engine/lists", "engine/skips", "engine/extendable",
     // "engine/density"). `lazy_fallback` means the fallback answers
-    // lazily through the naive evaluator instead of materializing (graphs
-    // too big to materialize under a budget).
+    // through a lazy backtracking search instead of materializing
+    // (degraded engines, and graphs too big to materialize under a
+    // budget).
     bool degraded = false;
     std::string tripped_stage;
     bool lazy_fallback = false;
@@ -193,7 +198,8 @@ class EnumerationEngine {
   // Thread-safe; callable concurrently with any other answer method.
   std::optional<Tuple> Next(const Tuple& from) const;
 
-  // Corollary 2.4: constant-time solution test. Thread-safe.
+  // Corollary 2.4: constant-time solution test; `tuple` as for Next.
+  // Thread-safe.
   bool Test(const Tuple& tuple) const;
 
   // The smallest solution overall. Thread-safe.
@@ -268,7 +274,7 @@ class EnumerationEngine {
   // crossed its staleness threshold — in which case the engine was NOT
   // modified beyond the (harmless, monotone) dirty marks and the caller
   // must rebuild from scratch. Not thread-safe: the caller must exclude
-  // all concurrent probes (the dynamic engine routes probes to its lazy
+  // all concurrent probes (the dynamic engine routes probes to its lag
   // path while a repair is in flight).
   bool Repair(std::span<const GraphEdit> edits, RepairStats* out = nullptr);
 
@@ -306,9 +312,6 @@ class EnumerationEngine {
   // Discards every (partial) LNF structure, records the degradation in
   // stats_, and installs the lazy baseline answer path.
   void DegradeAfterTrip();
-  // Answer Test() through the naive evaluator and Next() through a fresh
-  // backtracking search — correct on any graph, no materialization.
-  void UseLazyBaseline();
   // Copies the budget's counters into stats_ (end of construction).
   void FinalizeBudgetStats();
 
@@ -342,9 +345,6 @@ class EnumerationEngine {
                         const std::vector<uint8_t>& color_edited,
                         bool have_edge_edits, RepairStats* stats);
 
-  // num_threads semantics shared by the batch APIs (0 = hardware).
-  static int ResolveAnswerThreads(int num_threads);
-
   const ColoredGraph* graph_;
   // When guarded-local unaries are materialized, the engine operates on
   // this expanded copy (original graph + virtual colors).
@@ -358,14 +358,9 @@ class EnumerationEngine {
   Lnf lnf_;
   Stats stats_;
 
-  // Fallback mode: the sorted solution set.
-  std::vector<Tuple> materialized_;
-  // Lazy fallback mode (degraded engines, and budgeted graphs too big to
-  // materialize): both evaluators keep internal scratch, so concurrent
-  // answer calls serialize behind lazy_mu_.
-  mutable std::mutex lazy_mu_;
-  mutable std::unique_ptr<fo::NaiveEvaluator> lazy_eval_;
-  mutable std::unique_ptr<BacktrackingEnumerator> lazy_next_;
+  // Fallback mode (non-null exactly when stats_.fallback): the sorted
+  // solution set, or the lazy search when stats_.lazy_fallback.
+  std::unique_ptr<BaselineAnswers> baseline_;
 
   // LNF mode.
   std::unique_ptr<SplitterStrategy> strategy_;

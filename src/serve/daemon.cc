@@ -197,20 +197,29 @@ Daemon::~Daemon() {
   }
 }
 
-bool Daemon::LoadInitialSnapshot(const std::string& source,
-                                 std::string* error) {
+std::unique_ptr<EngineSnapshot> Daemon::BuildSnapshot(
+    const std::string& source, const EngineOptions& engine,
+    std::string* error) const {
   auto snapshot = std::make_unique<EngineSnapshot>();
   snapshot->source = source;
   snapshot->query = query_;
   if (!BuildGraphFromSource(source, options_.parse_limits, &snapshot->graph,
                             error)) {
-    return false;
+    return nullptr;
   }
   if (fo::MaxColorId(query_.formula) >= snapshot->graph.NumColors()) {
     *error = "query references colors the graph does not carry";
-    return false;
+    return nullptr;
   }
-  snapshot->Prepare(options_.engine);
+  snapshot->Prepare(engine);
+  return snapshot;
+}
+
+bool Daemon::LoadInitialSnapshot(const std::string& source,
+                                 std::string* error) {
+  std::unique_ptr<EngineSnapshot> snapshot =
+      BuildSnapshot(source, options_.engine, error);
+  if (snapshot == nullptr) return false;
   registry_.Publish(std::move(snapshot));
   return true;
 }
@@ -714,29 +723,16 @@ void Daemon::RebuildThreadBody() {
     // so the rebuild's spans and flight events attribute to the reload
     // that asked for it, not to an anonymous background thread.
     obs::RequestScope rid_scope(job->rid);
-    auto snapshot = std::make_unique<EngineSnapshot>();
-    snapshot->source = job->source;
-    snapshot->query = query_;
-    std::string error;
+    EngineOptions engine_options = options_.engine;
+    if (job->budget_ms > 0) engine_options.budget.deadline_ms = job->budget_ms;
+    if (job->max_edge_work > 0) {
+      engine_options.budget.max_edge_work = job->max_edge_work;
+    }
     const int64_t started_ns = obs::NowNs();
-    if (!BuildGraphFromSource(job->source, options_.parse_limits,
-                              &snapshot->graph, &error)) {
-      job->ok = false;
-      job->error = error;
-    } else if (fo::MaxColorId(query_.formula) >=
-               snapshot->graph.NumColors()) {
-      job->ok = false;
-      job->error = "query references colors the graph does not carry";
-    } else {
-      EngineOptions engine_options = options_.engine;
-      if (job->budget_ms > 0) {
-        engine_options.budget.deadline_ms = job->budget_ms;
-      }
-      if (job->max_edge_work > 0) {
-        engine_options.budget.max_edge_work = job->max_edge_work;
-      }
-      snapshot->Prepare(engine_options);
-      job->ok = true;
+    std::unique_ptr<EngineSnapshot> snapshot =
+        BuildSnapshot(job->source, engine_options, &job->error);
+    job->ok = snapshot != nullptr;
+    if (job->ok) {
       job->degraded = snapshot->dynamic->engine_stats().degraded;
       job->epoch = registry_.Publish(std::move(snapshot));
     }

@@ -188,6 +188,12 @@ class Daemon {
   bool SendError(FdStream* stream, ErrorCode code, std::string_view message,
                  int64_t retry_after_ms = 0);
 
+  // Loads `source`, checks it carries the query's colors and prepares the
+  // snapshot's engine with `engine`: the one build behind the initial load
+  // and every reload. Null + *error on failure.
+  std::unique_ptr<EngineSnapshot> BuildSnapshot(const std::string& source,
+                                                const EngineOptions& engine,
+                                                std::string* error) const;
   void RebuildThreadBody();
   void AcceptThreadBody();
 

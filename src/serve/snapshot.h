@@ -51,10 +51,8 @@ struct EngineSnapshot {
   // Builds the dynamic engine over graph/query, consuming `graph` (the
   // dynamic plane must be the only mutator). Call exactly once.
   void Prepare(const EngineOptions& options) {
-    DynamicEngine::Options dynamic_options;
-    dynamic_options.engine = options;
     dynamic = std::make_unique<DynamicEngine>(std::move(graph), query,
-                                              dynamic_options);
+                                              options);
   }
 };
 

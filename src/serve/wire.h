@@ -34,7 +34,7 @@
 // `<spec>` is `add:u,v` (edge insert), `del:u,v` (edge delete), or
 // `color:v,c,<0|1>` (set/clear color c on v). Every answer given after
 // the `ok update` frame reflects the edits; the engine repairs itself in
-// the background and probes ride the degraded lazy path meanwhile.
+// the background and probes ride the lag lane's lazy baseline meanwhile.
 // `wait=1` blocks the reply until the repair lane has drained (tests).
 // An update racing an in-flight reload rebuild is rejected with
 // RETRY_AFTER — the freshly built epoch would silently discard an edit

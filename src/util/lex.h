@@ -42,6 +42,15 @@ inline bool LexIncrement(Tuple* t, int64_t n) {
   return false;
 }
 
+// Aborts unless `t` has `arity` components, each in [0, n): the contract
+// of every engine's Test and Next.
+inline void CheckProbe(const Tuple& t, int arity, int64_t n) {
+  NWD_CHECK_EQ(static_cast<int>(t.size()), arity);
+  for (const int64_t v : t) {
+    NWD_CHECK(v >= 0 && v < n) << "probe component " << v << " out of range";
+  }
+}
+
 // The minimum tuple (0,...,0) of arity k.
 inline Tuple LexMin(int arity) { return Tuple(static_cast<size_t>(arity), 0); }
 

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <type_traits>
+#include <string>
 
 #include "cover/kernel.h"
 #include "cover/neighborhood_cover.h"
@@ -18,9 +18,14 @@ struct CoverParams {
   int radius;
   uint64_t seed;
 };
-// gtest names these tests by the parameter's bytes; with no padding those
-// bytes, and so the names, are the same in every build.
-static_assert(std::has_unique_object_representations_v<CoverParams>);
+
+// Readable, build-stable test names: graph class, radius and seed.
+std::string CoverParamsName(const ::testing::TestParamInfo<CoverParams>& info) {
+  static const char* const kKinds[] = {"tree", "bdeg", "grid", "er"};
+  return std::string(kKinds[info.param.graph_kind]) + "_r" +
+         std::to_string(info.param.radius) + "_seed" +
+         std::to_string(info.param.seed);
+}
 
 ColoredGraph MakeGraph(int kind, Rng* rng) {
   switch (kind) {
@@ -100,7 +105,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CoverParams{0, 1, 1}, CoverParams{0, 2, 2},
                       CoverParams{0, 4, 3}, CoverParams{1, 2, 4},
                       CoverParams{2, 2, 5}, CoverParams{2, 3, 6},
-                      CoverParams{3, 2, 7}));
+                      CoverParams{3, 2, 7}),
+    CoverParamsName);
 
 TEST(Cover, NextInBag) {
   GraphBuilder builder(10, 0);
@@ -169,7 +175,8 @@ TEST_P(KernelPropertyTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, KernelPropertyTest,
     ::testing::Values(CoverParams{0, 2, 11}, CoverParams{1, 2, 12},
-                      CoverParams{2, 2, 13}, CoverParams{3, 1, 14}));
+                      CoverParams{2, 2, 13}, CoverParams{3, 1, 14}),
+    CoverParamsName);
 
 TEST(Kernel, ZeroRadiusKernelIsBag) {
   Rng rng(4);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "dynamic/dynamic_engine.h"
 #include "enumerate/engine.h"
 #include "enumerate/enumerator.h"
 #include "fo/builders.h"
@@ -188,6 +191,50 @@ TEST(EngineEdge, ProbeOutOfRangeIsRejected) {
   const ColoredGraph g = gen::RandomTree(20, 0, {1, 0.5}, &rng);
   const EnumerationEngine engine(g, fo::DistanceQuery(2));
   EXPECT_DEATH(engine.Next({0, 25}), "out of range");
+  EXPECT_DEATH(engine.Test({0, 25}), "out of range");
+
+  // The LNF engine (n > naive_cutoff) checks every component before its
+  // programs index the graph with it.
+  const ColoredGraph tree = gen::RandomTree(4096, 0, {1, 0.5}, &rng);
+  const int64_t n = tree.NumVertices();
+  const fo::Query far = fo::FarColorQuery(2, 0);
+  const EnumerationEngine lnf(tree, far);
+  ASSERT_FALSE(lnf.used_fallback());
+  EXPECT_DEATH(lnf.Test({0, n + 100000}), "out of range");
+  EXPECT_DEATH(lnf.Test({-1, 0}), "out of range");
+  EXPECT_DEATH(lnf.Next({0, n}), "out of range");
+
+  // So does the dynamic engine, in sync and on the lag lane (the probe
+  // right after Apply() lands while the repair lane is still busy). The
+  // engines are built inside the death statements so no repair thread
+  // is alive when the test forks.
+  EXPECT_DEATH(
+      {
+        DynamicEngine dynamic(tree, far);
+        dynamic.Test({0, n + 100000});
+      },
+      "out of range");
+  EXPECT_DEATH(
+      {
+        DynamicEngine dynamic(tree, far);
+        dynamic.Next({n, 0});
+      },
+      "out of range");
+  const GraphEdit flip = GraphEdit::SetColor(5, 0, !tree.HasColor(5, 0));
+  EXPECT_DEATH(
+      {
+        DynamicEngine dynamic(tree, far);
+        dynamic.Apply(std::span<const GraphEdit>(&flip, 1));
+        dynamic.Test({0, n});
+      },
+      "out of range");
+  EXPECT_DEATH(
+      {
+        DynamicEngine dynamic(tree, far);
+        dynamic.Apply(std::span<const GraphEdit>(&flip, 1));
+        dynamic.Next({0, n});
+      },
+      "out of range");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <type_traits>
+#include <string>
 
 #include "cover/neighborhood_cover.h"
 #include "fo/ast.h"
@@ -23,9 +23,15 @@ struct OracleParams {
   int radius;
   uint64_t seed;
 };
-// gtest names these tests by the parameter's bytes; with no padding those
-// bytes, and so the names, are the same in every build.
-static_assert(std::has_unique_object_representations_v<OracleParams>);
+
+// Readable, build-stable test names: graph class, radius and seed.
+std::string OracleParamsName(
+    const ::testing::TestParamInfo<OracleParams>& info) {
+  static const char* const kKinds[] = {"tree", "bdeg", "grid", "stars"};
+  return std::string(kKinds[info.param.graph_kind]) + "_r" +
+         std::to_string(info.param.radius) + "_seed" +
+         std::to_string(info.param.seed);
+}
 
 ColoredGraph MakeGraph(int kind, Rng* rng) {
   switch (kind) {
@@ -102,7 +108,8 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, OracleTest,
     ::testing::Values(OracleParams{0, 2, 1}, OracleParams{0, 4, 2},
                       OracleParams{1, 2, 3}, OracleParams{1, 3, 4},
-                      OracleParams{2, 3, 5}, OracleParams{3, 2, 6}));
+                      OracleParams{2, 3, 5}, OracleParams{3, 2, 6}),
+    OracleParamsName);
 
 TEST(Oracle, RecursionActuallyDeepens) {
   Rng rng(77);

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <type_traits>
+#include <string>
 
 #include "enumerate/engine.h"
 #include "enumerate/enumerator.h"
@@ -19,12 +19,19 @@ namespace {
 struct OptionsParams {
   int64_t naive_cutoff;
   int64_t oracle_small_cutoff;
-  int64_t oracle_max_lambda;  // 64-bit: no padding before work_budget
+  int oracle_max_lambda;
   int64_t work_budget;
 };
-// gtest names these tests by the parameter's bytes; with no padding those
-// bytes, and so the names, are the same in every build.
-static_assert(std::has_unique_object_representations_v<OptionsParams>);
+
+// Readable, build-stable test names: one token per knob.
+std::string OptionsParamsName(
+    const ::testing::TestParamInfo<OptionsParams>& info) {
+  const OptionsParams& p = info.param;
+  return "cutoff" + std::to_string(p.naive_cutoff) + "_oracle" +
+         std::to_string(p.oracle_small_cutoff) + "_lambda" +
+         std::to_string(p.oracle_max_lambda) + "_budget" +
+         std::to_string(p.work_budget);
+}
 
 class OptionsGridTest : public ::testing::TestWithParam<OptionsParams> {};
 
@@ -36,7 +43,7 @@ TEST_P(OptionsGridTest, AnswersAreOptionIndependent) {
   EngineOptions options;
   options.naive_cutoff = params.naive_cutoff;
   options.oracle.small_cutoff = params.oracle_small_cutoff;
-  options.oracle.max_lambda = static_cast<int>(params.oracle_max_lambda);
+  options.oracle.max_lambda = params.oracle_max_lambda;
   options.oracle.work_budget_multiplier = params.work_budget;
 
   fo::NaiveEvaluator naive(g);
@@ -65,7 +72,8 @@ INSTANTIATE_TEST_SUITE_P(
                       OptionsParams{0, 64, 2, 2},    // shallow, big leaves
                       OptionsParams{10, 8, 6, 4},    // the test default
                       OptionsParams{200, 8, 6, 4},   // cutoff above n
-                      OptionsParams{0, 1000, 12, 100}));
+                      OptionsParams{0, 1000, 12, 100}),
+    OptionsParamsName);
 
 }  // namespace
 }  // namespace nwd

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <type_traits>
+#include <string>
 
 #include "cover/kernel.h"
 #include "cover/neighborhood_cover.h"
@@ -62,9 +62,15 @@ struct SkipFuzzParams {
   int max_set_size;
   uint64_t seed;
 };
-// gtest names these tests by the parameter's bytes; with no padding those
-// bytes, and so the names, are the same in every build.
-static_assert(std::has_unique_object_representations_v<SkipFuzzParams>);
+
+// Readable, build-stable test names: universe, kernels, set size, seed.
+std::string SkipFuzzParamsName(
+    const ::testing::TestParamInfo<SkipFuzzParams>& info) {
+  const SkipFuzzParams& p = info.param;
+  return "n" + std::to_string(p.n) + "_kernels" +
+         std::to_string(p.num_kernels) + "_set" +
+         std::to_string(p.max_set_size) + "_seed" + std::to_string(p.seed);
+}
 
 class SkipFuzzTest : public ::testing::TestWithParam<SkipFuzzParams> {};
 
@@ -113,7 +119,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SkipFuzzParams{50, 5, 3, 2},
                       SkipFuzzParams{100, 8, 2, 3},
                       SkipFuzzParams{40, 4, 4, 4},
-                      SkipFuzzParams{64, 6, 3, 5}));
+                      SkipFuzzParams{64, 6, 3, 5}),
+    SkipFuzzParamsName);
 
 // RepairKernels must be indistinguishable from construction over the new
 // kernels: mutate kernel rows (rewrites, a cleared row, appended fresh

@@ -4,11 +4,6 @@
 # to build and no run can be compared with another by name. A
 # parameterized suite passes a name generator instead.
 #
-# The suites in kByteNamedSuites are still named by their bytes. Their
-# parameter structs have no padding (a static_assert next to each struct
-# checks it), so the names are stable; they get name generators, and new
-# names, in a later change, which empties the list.
-#
 # Scans the *_tests.cmake files gtest_discover_tests wrote for the targets
 # that CTestTestfile.cmake includes (leftovers of deleted targets are
 # ignored).
@@ -18,9 +13,6 @@
 if(NOT TESTS_DIR)
   message(FATAL_ERROR "usage: cmake -DTESTS_DIR=<dir> -P test_names_guard.cmake")
 endif()
-
-set(kByteNamedSuites
-  CoverPropertyTest KernelPropertyTest OracleTest SkipFuzzTest OptionsGridTest)
 
 file(STRINGS "${TESTS_DIR}/CTestTestfile.cmake" includes
      REGEX "_include\\.cmake\"\\)$")
@@ -36,12 +28,7 @@ foreach(line IN LISTS includes)
   file(STRINGS "${tests_file}" bad_lines REGEX "^add_test\\(.*-byte object <")
   foreach(bad IN LISTS bad_lines)
     string(REGEX REPLACE "^add_test\\(\\[=\\[([^]]*)\\]=\\].*" "\\1" name "${bad}")
-    # <prefix><instantiation>/<Suite>.<Test>/<bytes>
-    string(REGEX REPLACE "^[^/]*/([^./]*)\\..*" "\\1" suite "${name}")
-    list(FIND kByteNamedSuites "${suite}" listed)
-    if(listed EQUAL -1)
-      string(APPEND offenders "  ${name}\n")
-    endif()
+    string(APPEND offenders "  ${name}\n")
   endforeach()
 endforeach()
 

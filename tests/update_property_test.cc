@@ -4,9 +4,9 @@
 // edit, and both to the naive evaluator over the edited graph. Covers
 // tree / bounded-degree / grid inputs, thread counts 1-8,
 // budget-tripped (degraded) engines where Repair must decline, and the
-// asynchronous repair lane where probes issued while the engine lags are
-// answered through the degraded lazy path. TSan / ASan twins run the
-// same streams under the sanitizers.
+// repair lane's lag, where probes issued while the engine catches up are
+// answered through the lazy baseline. TSan / ASan twins run the same
+// streams under the sanitizers.
 
 #include <gtest/gtest.h>
 
@@ -82,11 +82,11 @@ GraphEdit RandomEdit(const ColoredGraph& g, Rng* rng) {
                          : GraphEdit::AddEdge(u, v);
 }
 
-// Drives one edit stream: a synchronous DynamicEngine consumes random
-// edits one at a time; after every edit its full enumeration and a batch
-// of random membership probes must be bit-identical to an engine built
-// from scratch over an identically mutated reference graph, and both to
-// the naive evaluator there. The reference engine always runs with
+// Drives one edit stream: a DynamicEngine consumes random edits one at a
+// time, each waited into sync; after every edit its full enumeration and
+// a batch of random membership probes must be bit-identical to an engine
+// built from scratch over an identically mutated reference graph, and
+// both to the naive evaluator there. The reference engine always runs with
 // default (unlimited) options, so this also checks degraded dynamic
 // configurations against ground truth.
 void RunEditStream(int kind, int arity, uint64_t seed,
@@ -97,10 +97,7 @@ void RunEditStream(int kind, int arity, uint64_t seed,
   const fo::Query query = RandomQuery(arity, reference.NumColors(), &rng);
   const int64_t n = reference.NumVertices();
 
-  DynamicEngine::Options options;
-  options.engine = engine_options;
-  options.synchronous = true;
-  DynamicEngine dynamic(reference, query, options);
+  DynamicEngine dynamic(reference, query, engine_options);
 
   for (int step = 0; step < num_edits; ++step) {
     const GraphEdit edit = RandomEdit(reference, &rng);
@@ -108,7 +105,7 @@ void RunEditStream(int kind, int arity, uint64_t seed,
     const int64_t applied = dynamic.Apply(std::span<const GraphEdit>(&edit, 1));
     ASSERT_EQ(changed ? 1 : 0, applied)
         << "kind=" << kind << " seed=" << seed << " step=" << step;
-    ASSERT_TRUE(dynamic.in_sync());
+    dynamic.WaitForSync();
 
     EnumerationEngine fresh(reference, query);
     if (!fresh.used_fallback()) {
@@ -211,9 +208,7 @@ TEST(UpdatePropertyTest, NoopEditsAreDropped) {
   ASSERT_GT(graph.Degree(u), 0);
   const Vertex v = graph.Neighbors(u)[0];
 
-  DynamicEngine::Options options;
-  options.synchronous = true;
-  DynamicEngine dynamic(graph, query, options);
+  DynamicEngine dynamic(graph, query);
   const std::vector<GraphEdit> noops = {
       GraphEdit::AddEdge(u, v),  // already present
       GraphEdit::SetColor(3, 0, graph.HasColor(3, 0)),  // already set so
@@ -243,9 +238,7 @@ TEST(UpdatePropertyTest, EdgeRepairEngagesOnLargeGrid) {
   const int64_t n = reference.NumVertices();
   ASSERT_GE(n, 500);
 
-  DynamicEngine::Options options;
-  options.synchronous = true;
-  DynamicEngine dynamic(reference, parsed.query, options);
+  DynamicEngine dynamic(reference, parsed.query);
 
   for (int step = 0; step < 8; ++step) {
     Vertex u = static_cast<Vertex>(rng.NextBounded(40));
@@ -256,6 +249,7 @@ TEST(UpdatePropertyTest, EdgeRepairEngagesOnLargeGrid) {
                                : GraphEdit::AddEdge(u, v);
     reference.ApplyInPlace(edit);
     dynamic.Apply(std::span<const GraphEdit>(&edit, 1));
+    dynamic.WaitForSync();
 
     EnumerationEngine fresh(reference, parsed.query);
     ASSERT_EQ(AllAnswers(fresh, n), AllAnswers(dynamic, n))
@@ -283,9 +277,7 @@ TEST(UpdatePropertyTest, ColorOnlyStreamAlwaysRepairsInPlace) {
     ColoredGraph reference = RandomGraph(kind, 70, &rng);
     const int64_t n = reference.NumVertices();
 
-    DynamicEngine::Options options;
-    options.synchronous = true;
-    DynamicEngine dynamic(reference, parsed.query, options);
+    DynamicEngine dynamic(reference, parsed.query);
 
     for (int step = 0; step < 10; ++step) {
       const Vertex v = static_cast<Vertex>(rng.NextBounded(n));
@@ -294,6 +286,7 @@ TEST(UpdatePropertyTest, ColorOnlyStreamAlwaysRepairsInPlace) {
           GraphEdit::SetColor(v, c, !reference.HasColor(v, c));
       reference.ApplyInPlace(edit);
       dynamic.Apply(std::span<const GraphEdit>(&edit, 1));
+      dynamic.WaitForSync();
 
       EnumerationEngine fresh(reference, parsed.query);
       ASSERT_EQ(AllAnswers(fresh, n), AllAnswers(dynamic, n))
@@ -307,8 +300,8 @@ TEST(UpdatePropertyTest, ColorOnlyStreamAlwaysRepairsInPlace) {
   }
 }
 
-// Asynchronous mode: apply a batch, then probe immediately — probes that
-// land while the repair lane is busy go through the degraded lazy path
+// Apply a batch, then probe without waiting: probes that land while the
+// repair lane is busy go through the lag lane's lazy baseline
 // and must still agree with a from-scratch engine over the final graph
 // (the serving graph is already final when Apply returns). After
 // WaitForSync the full enumeration must match too.
@@ -320,7 +313,7 @@ TEST(UpdatePropertyTest, AsyncProbesDuringRepairAreCorrect) {
     const fo::Query query = RandomQuery(2, reference.NumColors(), &rng);
     const int64_t n = reference.NumVertices();
 
-    DynamicEngine dynamic(reference, query);  // asynchronous by default
+    DynamicEngine dynamic(reference, query);
     std::vector<GraphEdit> batch;
     for (int i = 0; i < 12; ++i) {
       const GraphEdit edit = RandomEdit(reference, &rng);
