@@ -9,6 +9,13 @@
 // path — a single full rebuild, or a final answer set that diverges from
 // a fresh engine, fails the binary (exit 1), not just the numbers.
 //
+// Two queries: `E(x, y) & C0(x)` (BM_UpdateRepair) has no Case I position,
+// so the engine builds no cover, kernels or skip pointers and a repair
+// patches none; the far query `dist(x, y) > 1 & C0(y)`
+// (BM_UpdateRepairCaseOne) reads skip pointers at position 1, so every
+// repair also patches the bags, recomputes kernels and re-grows skip rows
+// (its `skip_rows_recomputed` counter witnesses that).
+//
 // The iteration count is pinned (->Iterations), so the edit stream and
 // the final graph are deterministic and `solutions` is an exact-match
 // counter for the baseline guard (attest_update_baseline_guard).
@@ -51,8 +58,11 @@ constexpr int kEditsPerRun = 64;
 // a localized edit; measured ratios are orders of magnitude higher.
 constexpr double kMinSpeedup = 3.0;
 
-fo::Query UpdateQuery() {
-  fo::ParseResult parsed = fo::ParseFormula("E(x, y) & C0(x)");
+constexpr const char* kEdgeQuery = "E(x, y) & C0(x)";
+constexpr const char* kCaseOneQuery = "dist(x, y) > 1 & C0(y)";
+
+fo::Query UpdateQuery(const char* text) {
+  fo::ParseResult parsed = fo::ParseFormula(text);
   if (!parsed.ok) {
     std::fprintf(stderr, "query parse failed: %s\n", parsed.error.c_str());
     std::abort();
@@ -96,10 +106,10 @@ int64_t CountSolutions(const Engine& engine, int64_t n) {
   return count;
 }
 
-void BM_UpdateRepair(benchmark::State& state) {
+void RunUpdateRepair(benchmark::State& state, const char* query_text) {
   const int64_t n = state.range(0);
   const ColoredGraph base = bench::MakeGraph(bench::kGrid, n);
-  const fo::Query query = UpdateQuery();
+  const fo::Query query = UpdateQuery(query_text);
 
   // Full-rebuild baseline on the pristine graph: the cost one edit would
   // pay without the dynamic plane.
@@ -111,20 +121,21 @@ void BM_UpdateRepair(benchmark::State& state) {
   DynamicEngine dynamic(base, query);
 
   size_t at = 0;
+  int64_t skip_rows = 0;
   for (auto _ : state) {
     dynamic.Apply(
         std::span<const GraphEdit>(&edits[at % edits.size()], 1));
     dynamic.WaitForSync();
+    skip_rows += dynamic.stats().last_repair.skip_rows_recomputed;
     ++at;
   }
 
   const DynamicEngine::UpdateStats stats = dynamic.stats();
   if (stats.full_rebuilds > 0) {
     std::fprintf(stderr,
-                 "BM_UpdateRepair/%lld: %lld of %lld batches declined into "
-                 "a full rebuild; the localized repair path was not "
-                 "measured\n",
-                 static_cast<long long>(n),
+                 "%s/%lld: %lld of %lld batches declined into a full "
+                 "rebuild; the localized repair path was not measured\n",
+                 query_text, static_cast<long long>(n),
                  static_cast<long long>(stats.full_rebuilds),
                  static_cast<long long>(stats.batches));
     g_gate_violation = true;
@@ -141,9 +152,9 @@ void BM_UpdateRepair(benchmark::State& state) {
   const int64_t solutions = CountSolutions(dynamic, n);
   if (solutions != CountSolutions(fresh, n)) {
     std::fprintf(stderr,
-                 "BM_UpdateRepair/%lld: repaired engine answers diverged "
-                 "from a from-scratch rebuild\n",
-                 static_cast<long long>(n));
+                 "%s/%lld: repaired engine answers diverged from a "
+                 "from-scratch rebuild\n",
+                 query_text, static_cast<long long>(n));
     g_gate_violation = true;
   }
 
@@ -153,9 +164,9 @@ void BM_UpdateRepair(benchmark::State& state) {
   if (!g_quick && repair_ms > 0.0 &&
       rebuild_ms < kMinSpeedup * repair_ms) {
     std::fprintf(stderr,
-                 "BM_UpdateRepair/%lld: update is not asymptotically below "
-                 "rebuild (repair %.3f ms vs rebuild %.3f ms, need %.1fx)\n",
-                 static_cast<long long>(n), repair_ms, rebuild_ms,
+                 "%s/%lld: update is not asymptotically below rebuild "
+                 "(repair %.3f ms vs rebuild %.3f ms, need %.1fx)\n",
+                 query_text, static_cast<long long>(n), repair_ms, rebuild_ms,
                  kMinSpeedup);
     g_gate_violation = true;
   }
@@ -168,14 +179,16 @@ void BM_UpdateRepair(benchmark::State& state) {
   state.counters["speedup"] =
       repair_ms > 0.0 ? rebuild_ms / repair_ms : 0.0;
   state.counters["repairs"] = static_cast<double>(stats.repairs);
+  state.counters["skip_rows_per_edit"] =
+      at > 0 ? static_cast<double>(skip_rows) / static_cast<double>(at) : 0.0;
 }
 
-// The contrast point the artifact pairs with BM_UpdateRepair: a full
+// The contrast point the artifact pairs with each repair run: a full
 // engine build per iteration on the same graph.
-void BM_FullRebuild(benchmark::State& state) {
+void RunFullRebuild(benchmark::State& state, const char* query_text) {
   const int64_t n = state.range(0);
   const ColoredGraph base = bench::MakeGraph(bench::kGrid, n);
-  const fo::Query query = UpdateQuery();
+  const fo::Query query = UpdateQuery(query_text);
   for (auto _ : state) {
     EnumerationEngine engine(base, query);
     benchmark::DoNotOptimize(engine.stats());
@@ -184,9 +197,26 @@ void BM_FullRebuild(benchmark::State& state) {
   state.counters["n"] = static_cast<double>(n);
 }
 
+void BM_UpdateRepair(benchmark::State& state) {
+  RunUpdateRepair(state, kEdgeQuery);
+}
+void BM_UpdateRepairCaseOne(benchmark::State& state) {
+  RunUpdateRepair(state, kCaseOneQuery);
+}
+void BM_FullRebuild(benchmark::State& state) {
+  RunFullRebuild(state, kEdgeQuery);
+}
+void BM_FullRebuildCaseOne(benchmark::State& state) {
+  RunFullRebuild(state, kCaseOneQuery);
+}
+
 BENCHMARK(BM_UpdateRepair)->Arg(1024)->Arg(4096)
     ->Iterations(kEditsPerRun)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_UpdateRepairCaseOne)->Arg(1024)->Arg(4096)
+    ->Iterations(kEditsPerRun)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FullRebuild)->Arg(1024)->Arg(4096)
+    ->Iterations(3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FullRebuildCaseOne)->Arg(1024)->Arg(4096)
     ->Iterations(3)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -42,7 +42,14 @@ execute_process(
   ERROR_VARIABLE err
   TIMEOUT 240)
 if(NOT exit_code STREQUAL "0")
-  message(FATAL_ERROR "bench exited ${exit_code}\nstderr: ${err}")
+  # Keep the evidence: nwd-attest reports a failed claim by exiting 1 with
+  # its summary on stdout and the fitted report in the artifact.
+  set(report "(none written)")
+  if(EXISTS "${JSON_FILE}")
+    file(READ "${JSON_FILE}" report)
+  endif()
+  message(FATAL_ERROR "bench exited ${exit_code}\nstdout: ${out}\n"
+    "stderr: ${err}\nreport ${JSON_FILE}: ${report}")
 endif()
 if(NOT EXISTS "${JSON_FILE}")
   message(FATAL_ERROR "bench did not write ${JSON_FILE}")

@@ -14,7 +14,6 @@ NeighborhoodCover NeighborhoodCover::Build(const ColoredGraph& g, int radius,
   NWD_CHECK_GE(radius, 1);
   const int64_t n = g.NumVertices();
   NeighborhoodCover cover;
-  cover.radius_ = radius;
   cover.assigned_bag_.assign(static_cast<size_t>(n), -1);
   if (n == 0) {
     cover.assigned_offsets_.assign(1, 0);

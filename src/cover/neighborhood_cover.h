@@ -47,8 +47,6 @@ class NeighborhoodCover {
   static NeighborhoodCover Build(const ColoredGraph& g, int radius,
                                  const ResourceBudget* budget = nullptr);
 
-  int radius() const { return radius_; }
-
   // True iff the build ran to completion (every vertex assigned, degree
   // computed). A budget-tripped build leaves this false; such a cover
   // carries only the bags opened before the trip and must not be consumed.
@@ -128,7 +126,6 @@ class NeighborhoodCover {
                               static_cast<size_t>(end - begin));
   }
 
-  int radius_ = 0;
   bool complete_ = false;
   std::vector<Vertex> centers_;
   std::vector<int64_t> assigned_bag_;

@@ -109,13 +109,17 @@ class DynamicEngine {
   void SyncBatch(std::vector<GraphEdit> batch, uint64_t origin_rid);
   void RepairThreadBody();
 
+  // Read-mostly: fixed after construction, read by every probe (the
+  // daemon's range check reads NumVertices()).
   const fo::Query query_;
   const EngineOptions options_;
   int64_t num_vertices_ = 0;
   int num_colors_ = 0;
 
-  // State lock: probes shared, Apply / sync-state flips exclusive.
-  mutable std::shared_mutex state_mu_;
+  // State lock: probes shared, Apply / sync-state flips exclusive. Every
+  // probe's shared_lock writes the lock word, so it starts its own cache
+  // line, away from the read-mostly fields above.
+  alignas(64) mutable std::shared_mutex state_mu_;
   ColoredGraph serving_graph_;
   bool in_sync_ = true;
   std::vector<GraphEdit> pending_;

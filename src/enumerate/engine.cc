@@ -251,8 +251,10 @@ void EnumerationEngine::FinalizeBudgetStats() {
     m.kernel_values->SetMax(kernels_.TotalValues());
     m.skip_entries->SetMax(stats_.skip_entries);
     m.oracle_depth->SetMax(stats_.oracle_depth);
-    m.cover_us->Record(static_cast<int64_t>(stats_.cover_ms * 1e3));
-    m.kernels_us->Record(static_cast<int64_t>(stats_.kernels_ms * 1e3));
+    if (cover_ != nullptr) {  // built only for queries with a Case I position
+      m.cover_us->Record(static_cast<int64_t>(stats_.cover_ms * 1e3));
+      m.kernels_us->Record(static_cast<int64_t>(stats_.kernels_ms * 1e3));
+    }
     m.oracle_us->Record(static_cast<int64_t>(stats_.oracle_ms * 1e3));
     m.skips_us->Record(static_cast<int64_t>(stats_.skips_ms * 1e3));
     m.extendable_us->Record(static_cast<int64_t>(stats_.extendable_ms * 1e3));
@@ -308,56 +310,16 @@ bool EnumerationEngine::PrepareLnfMode() {
   // num_threads == 1 path.
   ThreadPool pool(options_.num_threads);
 
-  // Each stage's span is also its timer: End() fills its Stats field.
-  {
-    obs::ScopedSpan span("engine/cover");
-    strategy_ = MakeAutoStrategy(*graph_);
-    cover_ = std::make_unique<NeighborhoodCover>(
-        NeighborhoodCover::Build(*graph_, k * r, &budget_));
-    stats_.cover_ms = span.End();
-  }
-  if (StageTripped("engine/cover")) return false;
-  budget_.ChargeAllocation(cover_->TotalBagSize() *
-                           static_cast<int64_t>(sizeof(Vertex)));
-
-  {
-    obs::ScopedSpan span("engine/kernels");
-    const std::vector<std::vector<Vertex>> kernel_rows =
-        ComputeAllKernels(*graph_, *cover_, r, &pool, &budget_);
-    kernels_ = FlatRows<Vertex>(kernel_rows);
-    stats_.kernels_ms = span.End();
-  }
-  if (StageTripped("engine/kernels")) return false;
-  budget_.ChargeAllocation(kernels_.TotalValues() *
-                           static_cast<int64_t>(sizeof(Vertex)));
-
-  DistanceOracle::Options oracle_options = options_.oracle;
-  oracle_options.budget = &budget_;
-  {
-    obs::ScopedSpan span("engine/oracle");
-    oracle_ = std::make_unique<DistanceOracle>(*graph_, r, *strategy_,
-                                               oracle_options);
-    stats_.oracle_ms = span.End();
-  }
-  if (StageTripped("engine/oracle")) return false;
-  // Arm the dirty overlay now (zero-cost until Repair marks something):
-  // repairs must accumulate marks monotonically, so attaching exactly once
-  // keeps earlier batches' staleness visible to later queries.
-  oracle_->AttachLiveGraph(graph_);
-  stats_.cover_bags = cover_->NumBags();
-  stats_.cover_degree = cover_->Degree();
-  stats_.oracle_depth = oracle_->stats().max_depth;
-  stats_.preprocessing_edge_work = cover_->TotalBagSize();
-
   // Candidate lists, deduplicated by unary-literal signature across cases
-  // and positions (Step 12's L sets). Three sub-phases: collect the
-  // distinct signatures (serial — order defines list indices), materialize
-  // each list by a color scan sharded over vertex ranges, then fan the
-  // independent skip-pointer constructions out across lists.
-  obs::ScopedSpan lists_span("engine/lists");
+  // and positions (Step 12's L sets); the serial order defines list ids.
+  // Only Case I, a fresh component at a position p > 0 (kFindSkip), reads
+  // a list's skips and the earlier vertices' bags and kernels, so only its
+  // lists get skips, and the cover and kernels exist only if one does.
+  // Dead cases count: Repair re-lowers the query after color edits.
   std::map<std::vector<std::pair<int, bool>>, int> signature_to_list;
   std::vector<std::vector<std::pair<int, bool>>> signatures;
-  const int skip_set_size = std::max(1, k - 1);
+  std::vector<uint8_t> case_one_reads;  // per list: a kFindSkip indexes it
+  bool has_case_one = false;
   case_data_.resize(lnf_.cases.size());
   for (size_t ci = 0; ci < lnf_.cases.size(); ++ci) {
     const LnfCase& c = lnf_.cases[ci];
@@ -375,11 +337,62 @@ bool EnumerationEngine::PrepareLnfMode() {
                       signature.end());
       const auto [it, inserted] = signature_to_list.try_emplace(
           signature, static_cast<int>(signatures.size()));
-      if (inserted) signatures.push_back(std::move(signature));
+      if (inserted) {
+        signatures.push_back(std::move(signature));
+        case_one_reads.push_back(0);
+      }
       data.list_index[pos] = it->second;
+      if (pos > 0) {
+        case_one_reads[static_cast<size_t>(it->second)] = 1;
+        has_case_one = true;
+      }
     }
   }
 
+  // Each stage's span is also its timer: End() fills its Stats field. A
+  // stage that builds nothing records no span; its boundary check stays.
+  if (has_case_one) {
+    obs::ScopedSpan span("engine/cover");
+    cover_ = std::make_unique<NeighborhoodCover>(
+        NeighborhoodCover::Build(*graph_, k * r, &budget_));
+    stats_.cover_ms = span.End();
+  }
+  if (StageTripped("engine/cover")) return false;
+  if (cover_ != nullptr) {
+    budget_.ChargeAllocation(cover_->TotalBagSize() *
+                             static_cast<int64_t>(sizeof(Vertex)));
+    obs::ScopedSpan span("engine/kernels");
+    const std::vector<std::vector<Vertex>> kernel_rows =
+        ComputeAllKernels(*graph_, *cover_, r, &pool, &budget_);
+    kernels_ = FlatRows<Vertex>(kernel_rows);
+    stats_.kernels_ms = span.End();
+  }
+  if (StageTripped("engine/kernels")) return false;
+  budget_.ChargeAllocation(kernels_.TotalValues() *
+                           static_cast<int64_t>(sizeof(Vertex)));
+
+  DistanceOracle::Options oracle_options = options_.oracle;
+  oracle_options.budget = &budget_;
+  {
+    obs::ScopedSpan span("engine/oracle");
+    strategy_ = MakeAutoStrategy(*graph_);
+    oracle_ = std::make_unique<DistanceOracle>(*graph_, r, *strategy_,
+                                               oracle_options);
+    stats_.oracle_ms = span.End();
+  }
+  if (StageTripped("engine/oracle")) return false;
+  // Arm the dirty overlay now (zero-cost until Repair marks something):
+  // repairs must accumulate marks monotonically, so attaching exactly once
+  // keeps earlier batches' staleness visible to later queries.
+  oracle_->AttachLiveGraph(graph_);
+  stats_.oracle_depth = oracle_->stats().max_depth;
+  if (cover_ != nullptr) {
+    stats_.cover_bags = cover_->NumBags();
+    stats_.cover_degree = cover_->Degree();
+  }
+
+  // Materialize each list by a color scan sharded over vertex ranges.
+  obs::ScopedSpan lists_span("engine/lists");
   lists_.resize(signatures.size());
   const int64_t chunk =
       std::max<int64_t>(1024, n / (8 * pool.num_threads()));
@@ -417,34 +430,39 @@ bool EnumerationEngine::PrepareLnfMode() {
     if (budget_.Exceeded()) break;  // lists are partial; stage check below
   }
   list_signatures_ = std::move(signatures);  // kept for color-edit repair
-  const double lists_ms = lists_span.End();
+  stats_.skips_ms = lists_span.End();
   if (StageTripped("engine/lists")) return false;
 
   // The vertex -> containing-kernels index is shared by every per-list
-  // skip structure (the seed rebuilt it once per list); one counting-sort
-  // pass over the flattened kernels.
-  obs::ScopedSpan skips_span("engine/skips");
-  NWD_CHECK(cover_->complete()) << "skip build over a budget-tripped cover";
-  kernels_containing_ = std::make_shared<const FlatRows<int64_t>>(
-      SkipPointers::IndexKernels(n, kernels_));
-  budget_.ChargeWork(kernels_.TotalValues());
-  budget_.ChargeAllocation(kernels_containing_->TotalValues() *
-                           static_cast<int64_t>(sizeof(int64_t)));
-
+  // skip structure; one counting-sort pass over the flattened kernels.
+  // The skip constructions fan out across lists; lists Case I never reads
+  // keep a null slot.
   skips_.resize(lists_.size());
-  pool.ParallelFor(
-      0, static_cast<int64_t>(lists_.size()), /*grain=*/1,
-      [&](int64_t li, int) {
-        skips_[static_cast<size_t>(li)] = std::make_unique<SkipPointers>(
-            n, kernels_containing_, lists_[static_cast<size_t>(li)],
-            skip_set_size, &budget_);
-      },
-      &budget_);
-  stats_.skips_ms = lists_ms + skips_span.End();
+  if (cover_ != nullptr) {
+    obs::ScopedSpan skips_span("engine/skips");
+    NWD_CHECK(cover_->complete()) << "skip build over a budget-tripped cover";
+    kernels_containing_ = std::make_shared<const FlatRows<int64_t>>(
+        SkipPointers::IndexKernels(n, kernels_));
+    budget_.ChargeWork(kernels_.TotalValues());
+    budget_.ChargeAllocation(kernels_containing_->TotalValues() *
+                             static_cast<int64_t>(sizeof(int64_t)));
+    const int skip_set_size = std::max(1, k - 1);
+    pool.ParallelFor(
+        0, static_cast<int64_t>(lists_.size()), /*grain=*/1,
+        [&](int64_t li, int) {
+          if (!case_one_reads[static_cast<size_t>(li)]) return;
+          skips_[static_cast<size_t>(li)] = std::make_unique<SkipPointers>(
+              n, kernels_containing_, lists_[static_cast<size_t>(li)],
+              skip_set_size, &budget_);
+        },
+        &budget_);
+    stats_.skips_ms += skips_span.End();
+  }
   if (StageTripped("engine/skips")) return false;
-  // Only totalled after the stage check: a canceled ParallelFor leaves
-  // null slots, and a tripped sweep leaves partial counts.
-  for (const auto& skip : skips_) stats_.skip_entries += skip->TotalEntries();
+  // Totalled after the stage check: a tripped sweep leaves partial counts.
+  for (const auto& skip : skips_) {
+    if (skip != nullptr) stats_.skip_entries += skip->TotalEntries();
+  }
   budget_.ChargeAllocation(stats_.skip_entries *
                            static_cast<int64_t>(sizeof(Vertex) + 24));
 
@@ -544,14 +562,14 @@ bool EnumerationEngine::Repair(std::span<const GraphEdit> edits,
     return false;
   }
   obs::ScopedSpan span("engine/repair");
-  NWD_CHECK(cover_ != nullptr && oracle_ != nullptr);
+  NWD_CHECK(oracle_ != nullptr);
   // Each stage's span fills its RepairStats field; "cover" spans the
   // damage region, the oracle marks and the cover + kernel patch.
   obs::ScopedSpan cover_span("engine/repair/cover");
 
   const int k = lnf_.arity;
   const int r = static_cast<int>(lnf_.radius);
-  const int cover_radius = cover_->radius();   // k * r
+  const int cover_radius = k * r;              // the cover radius R
   const int region_radius = 2 * cover_radius;  // the bag-ball radius
   const int64_t n = graph_->NumVertices();
   const int skip_set_size = std::max(1, k - 1);
@@ -605,9 +623,9 @@ bool EnumerationEngine::Repair(std::span<const GraphEdit> edits,
   }
 
   // --- Cover + kernel repair (edge edits only: colors touch neither) ---
-  const int64_t old_bags = cover_->NumBags();
+  const int64_t old_bags = cover_ != nullptr ? cover_->NumBags() : 0;
   std::vector<int64_t> touched_bags;
-  if (have_edge_edits) {
+  if (have_edge_edits && cover_ != nullptr) {
     std::vector<NeighborhoodCover::BagPatch> patches;
     std::vector<std::pair<Vertex, int64_t>> reassign;
     std::vector<Vertex> broken;
@@ -727,9 +745,10 @@ bool EnumerationEngine::Repair(std::span<const GraphEdit> edits,
   // stored skip, so each list is patched incrementally — only closures
   // that can mention a damaged bag are re-grown (RepairKernels). Lists
   // whose membership itself changed (color edits) lose that invariant and
-  // rebuild from scratch against the current kernel index.
+  // rebuild from scratch against the current kernel index. Lists Case I
+  // never reads have no skips to patch.
   std::vector<int64_t> damaged_bags;
-  if (have_edge_edits) {
+  if (have_edge_edits && cover_ != nullptr) {
     kernels_containing_ = std::make_shared<const FlatRows<int64_t>>(
         SkipPointers::IndexKernels(n, kernels_));
     damaged_bags = touched_bags;  // sorted; appended ids extend the order
@@ -737,7 +756,9 @@ bool EnumerationEngine::Repair(std::span<const GraphEdit> edits,
       damaged_bags.push_back(b);
     }
   }
+  stats_.skip_entries = 0;
   for (size_t li = 0; li < lists_.size(); ++li) {
+    if (skips_[li] == nullptr) continue;
     if (list_changed[li]) {
       skips_[li] = std::make_unique<SkipPointers>(
           n, kernels_containing_, lists_[li], skip_set_size, nullptr);
@@ -747,9 +768,8 @@ bool EnumerationEngine::Repair(std::span<const GraphEdit> edits,
           skips_[li]->RepairKernels(kernels_containing_, damaged_bags);
       ++stats->skips_repaired;
     }
+    stats_.skip_entries += skips_[li]->TotalEntries();
   }
-  stats_.skip_entries = 0;
-  for (const auto& skip : skips_) stats_.skip_entries += skip->TotalEntries();
   stats->skips_ms = skips_span.End();
 
   // --- Bytecode + extendable projections --------------------------------
@@ -803,7 +823,7 @@ void EnumerationEngine::RepairExtendable(
   const int r = static_cast<int>(lnf_.radius);
   // Any tuple whose truth flipped has a component within r of a site; in a
   // single-tau-component case that pins a0 within (k-1)*r + r = k*r of it.
-  const int32_t locality = static_cast<int32_t>(cover_->radius());
+  const int32_t locality = static_cast<int32_t>(lnf_.arity * lnf_.radius);
   // A private context, as in prepare: repair descents are not probes, so
   // their ball-cache traffic stays out of the answer pool's counters. Its
   // cache serves every descent of this repair (the graph is fixed now).

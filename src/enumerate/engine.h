@@ -3,16 +3,19 @@
 //
 // Prepare-time (pseudo-linear on the sparse classes this library targets):
 //   * compile the query to LNF (the Theorem 5.4 stand-in),
-//   * build a (k*r, 2k*r)-neighborhood cover and the r-kernels of its bags
-//     (Theorem 4.4 / Lemma 5.7) — the cover radius k*r makes every
-//     tau-component fit inside one canonical bag, and, crucially, makes
-//     "outside every kernel of the query vertices' bags" imply "at distance
-//     > r from every query vertex" (the kernel argument of Case I),
-//   * build the distance oracle of Proposition 4.2 (cover + splitter
-//     recursion, each level inducing G[X \ {s_X}] of its bags) for
-//     constant-time dist <= d tests,
-//   * per case and per "fresh" position: the candidate lists L (Step 12)
-//     and their skip pointers (Lemma 5.8, Step 13),
+//   * when some case has a Case I position (a fresh tau-component at a
+//     position > 0, dead cases included), build a (k*r, 2k*r)-neighborhood
+//     cover and the r-kernels of its bags (Theorem 4.4 / Lemma 5.7) — the
+//     cover radius k*r makes every tau-component fit inside one canonical
+//     bag, and, crucially, makes "outside every kernel of the query
+//     vertices' bags" imply "at distance > r from every query vertex" (the
+//     kernel argument of Case I); only Case I reads them,
+//   * build the distance oracle of Proposition 4.2 (splitter strategy,
+//     cover + splitter recursion, each level inducing G[X \ {s_X}] of its
+//     bags) for constant-time dist <= d tests,
+//   * per case and per "fresh" position: the candidate lists L (Step 12),
+//     and skip pointers (Lemma 5.8, Step 13) over the lists some Case I
+//     position reads,
 //   * lower the LNF cases to the bytecode programs of src/compile/ (once,
 //     right after the skip pointers),
 //   * materialize the extendable first coordinates (the Unary Theorem 5.3
@@ -142,16 +145,16 @@ class EnumerationEngine {
     int64_t skip_entries = 0;
     int oracle_depth = 0;
     int64_t materialized_solutions = 0;  // only in fallback mode
-    int64_t preprocessing_edge_work = 0;
     // Guarded-local unary subformulas materialized as virtual colors (the
     // Unary Theorem 5.3 stand-in widening the fast fragment).
     int64_t local_unaries = 0;
     // Wall time per preprocessing phase (LNF mode only), each read off
     // the stage's span; the speedup curves of bench_preprocessing read
-    // these.
-    double cover_ms = 0.0;       // cover construction (+ splitter strategy)
+    // these. Without a Case I position the cover, kernel and skip stages
+    // build nothing: their times and sizes above stay 0.
+    double cover_ms = 0.0;       // (k*r, 2k*r)-cover construction
     double kernels_ms = 0.0;     // per-bag r-kernels
-    double oracle_ms = 0.0;      // distance oracle (Proposition 4.2)
+    double oracle_ms = 0.0;      // splitter strategy + distance oracle
     double skips_ms = 0.0;       // candidate-list scans + skip pointers
     double compile_ms = 0.0;     // lowering to bytecode (src/compile/)
     double extendable_ms = 0.0;  // extendable first-coordinate descents
@@ -262,12 +265,15 @@ class EnumerationEngine {
   // Repairs the preprocessed structures in place after `edits` have
   // already been applied to the underlying graph (the caller owns the
   // graph and mutates it through ColoredGraph::ApplyInPlace). Damage is
-  // localized: only bags whose 2R-ball touches an edit are re-BFS'd,
-  // only their kernels recomputed, only affected candidate lists patched,
-  // the bytecode re-lowered, and the extendable projections repaired
-  // through stored witnesses — the distance oracle goes stale gracefully
-  // behind a dirty overlay instead of rebuilding. Bumps generation() so
-  // pooled probe contexts drop their cached anchor balls.
+  // localized to the vertices within 2R = 2k*r of an edit: only bags
+  // whose 2R-ball touches an edit are re-BFS'd, only their kernels
+  // recomputed, only affected candidate lists patched, the bytecode
+  // re-lowered, and the extendable projections repaired through stored
+  // witnesses — the distance oracle goes stale gracefully behind a dirty
+  // overlay instead of rebuilding. Structures prepare did not build (the
+  // cover, kernels and skips of a query without a Case I position) are
+  // skipped. Bumps generation() so pooled probe contexts drop their
+  // cached anchor balls.
   //
   // Returns false when in-place repair is not possible — fallback /
   // degraded / sentence / local-unary engines, or the dirty overlay
@@ -363,18 +369,20 @@ class EnumerationEngine {
   std::unique_ptr<BaselineAnswers> baseline_;
 
   // LNF mode.
-  std::unique_ptr<SplitterStrategy> strategy_;
+  std::unique_ptr<SplitterStrategy> strategy_;  // the oracle borrows it
+  std::unique_ptr<DistanceOracle> oracle_;
+  // Case I structures: null / empty without a Case I position.
   std::unique_ptr<NeighborhoodCover> cover_;
   FlatRows<Vertex> kernels_;  // r-kernels per bag, CSR layout
-  std::unique_ptr<DistanceOracle> oracle_;
   // Deduplicated candidate lists (by unary-literal signature) and their
-  // skip-pointer structures. The signatures are kept so the dynamic-update
-  // plane can patch list membership after a color edit.
+  // skip pointers (null where no Case I position reads the list). The
+  // signatures are kept so the dynamic-update plane can patch list
+  // membership after a color edit.
   std::vector<std::vector<Vertex>> lists_;
   std::vector<std::vector<std::pair<int, bool>>> list_signatures_;
   std::vector<std::unique_ptr<SkipPointers>> skips_;
   // The shared vertex -> containing-kernels index behind every skip
-  // structure; rebuilt (with all skips) when any kernel row changes.
+  // structure (null with the cover); rebuilt when any kernel row changes.
   std::shared_ptr<const FlatRows<int64_t>> kernels_containing_;
   std::vector<CaseData> case_data_;
   // Bumped by Repair; see generation().

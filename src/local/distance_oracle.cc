@@ -91,6 +91,14 @@ std::unique_ptr<DistanceOracle::Level> DistanceOracle::BuildLevel(
   level->bags.resize(static_cast<size_t>(level->cover.NumBags()));
 
   for (int64_t b = 0; b < level->cover.NumBags(); ++b) {
+    if (options_.budget != nullptr && options_.budget->Exceeded()) {
+      // Tripped mid-level: answer this level by BFS as a leaf instead of
+      // finishing the rest of its bags.
+      stats_.budget_exhausted = true;
+      level->bags.clear();
+      level->leaf = true;
+      return level;
+    }
     const std::span<const Vertex> members = level->cover.Bag(b);
     Bag& bag = level->bags[static_cast<size_t>(b)];
 

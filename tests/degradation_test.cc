@@ -309,7 +309,8 @@ TEST(Degradation, CoverChargeOvershootIsBounded) {
 // The kernel stage has its own fault points on both execution paths; a
 // trip inside ComputeAllKernels must surface that point as the tripped
 // stage (the engine's coarser "engine/kernels" attribution never
-// overwrites it) and leave a correct degraded engine.
+// overwrites it) and leave a correct degraded engine. Kernels are built
+// only for a query with a Case I position (here the far case's y).
 TEST(Degradation, KernelStageFaultPointsDegradeOnBothPaths) {
   struct PathCase {
     const char* point;
@@ -317,7 +318,10 @@ TEST(Degradation, KernelStageFaultPointsDegradeOnBothPaths) {
   };
   const PathCase cases[] = {{"engine/kernels/serial", 1},
                             {"engine/kernels/parallel", 4}};
-  const fo::Query query = SupportedBinaryQuery();
+  const fo::ParseResult parsed =
+      fo::ParseFormula("dist(x, y) <= 1 | (C0(y) & dist(x, y) > 3)");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const fo::Query& query = parsed.query;
   for (const PathCase& c : cases) {
     Rng rng(1300);
     const ColoredGraph g = testing_common::RandomGraph(1, 70, &rng);

@@ -11,6 +11,7 @@
 #include "local/distance_oracle.h"
 #include "local/local_evaluator.h"
 #include "splitter/strategy.h"
+#include "util/budget.h"
 #include "util/rng.h"
 
 namespace nwd {
@@ -120,6 +121,42 @@ TEST(Oracle, RecursionActuallyDeepens) {
   const DistanceOracle oracle(g, 2, *strategy, options);
   EXPECT_GT(oracle.stats().max_depth, 0);
   EXPECT_GT(oracle.stats().total_bags, 0);
+}
+
+// An engine budget that trips while a level's bags are being built stops
+// that level at its next bag and answers it by BFS, as a leaf. The
+// truncated oracle must stay exact. The cap sweep reaches trips inside
+// the root cover (a root leaf) and trips after it, in the bag loop.
+TEST(Oracle, BudgetTripMidLevelStaysExact) {
+  Rng rng(79);
+  const ColoredGraph g = gen::RandomTree(250, 0, {0, 0.0}, &rng);
+  const auto strategy = MakeAutoStrategy(g);
+  BfsScratch scratch(g.NumVertices());
+  bool tripped_in_bag_loop = false;
+  for (int64_t cap = 256; cap <= (int64_t{1} << 16); cap *= 2) {
+    ResourceBudgetOptions limits;
+    limits.max_edge_work = cap;
+    const ResourceBudget budget(limits);
+    DistanceOracle::Options options;
+    options.small_cutoff = 8;
+    options.budget = &budget;
+    const DistanceOracle oracle(g, 2, *strategy, options);
+    if (!budget.Exceeded()) break;
+    // A complete root cover counts its bags, so the trip came after it.
+    if (oracle.stats().total_bags > 0) tripped_in_bag_loop = true;
+    for (Vertex a = 0; a < g.NumVertices(); ++a) {
+      scratch.Neighborhood(g, a, 2);
+      for (Vertex b = 0; b < g.NumVertices(); ++b) {
+        const int64_t dist = scratch.DistanceTo(b);
+        for (int r = 0; r <= 2; ++r) {
+          ASSERT_EQ(oracle.WithinDistance(a, b, r), dist >= 0 && dist <= r)
+              << "cap=" << cap << " a=" << a << " b=" << b << " r=" << r;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(tripped_in_bag_loop)
+      << "no cap tripped after the root cover completed";
 }
 
 TEST(Oracle, SymmetricAnswers) {

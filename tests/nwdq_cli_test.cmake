@@ -243,10 +243,11 @@ endif()
 
 # Observability artifacts: both exports must be written, parse as JSON,
 # and carry their schema markers plus answer-path coverage. The path graph
-# takes the LNF engine, so the trace holds every prepare stage as a span.
+# takes the LNF engine, and the far query has a Case I position, so the
+# trace holds every prepare stage as a span (the cover included).
 set(METRICS_JSON "${WORK_DIR}/metrics.json")
 set(TRACE_JSON "${WORK_DIR}/trace.json")
-run(obs_export 0 "" "${PATH_GRAPH}" "(x, y) := E(x, y)"
+run(obs_export 0 "" "${PATH_GRAPH}" "(x, y) := dist(x, y) > 1"
     --probe-file "${GOOD_PROBES}"
     --metrics-json "${METRICS_JSON}" --trace-json "${TRACE_JSON}")
 foreach(artifact "${METRICS_JSON}" "${TRACE_JSON}")

@@ -206,12 +206,13 @@ TEST(SpanTest, DisabledRecorderDropsSpansButStillTimes) {
 }
 
 // Every prepare stage is a span under the building thread's rid, and each
-// Stats timing is exactly its stage span's duration.
+// Stats timing is exactly its stage span's duration. The far query has a
+// Case I position, so every stage builds something.
 TEST(SpanTest, EnginePrepareStagesAreSpansThatFillStats) {
   obs::SetFlightEnabled(true);
   Rng rng(96);
   const ColoredGraph g = testing_common::RandomGraph(1, 120, &rng);
-  const fo::ParseResult r = fo::ParseFormula("dist(x, y) <= 1");
+  const fo::ParseResult r = fo::ParseFormula("dist(x, y) > 1");
   ASSERT_TRUE(r.ok) << r.error;
   EngineOptions options;
   options.naive_cutoff = 10;
@@ -250,6 +251,52 @@ TEST(SpanTest, EnginePrepareStagesAreSpansThatFillStats) {
   EXPECT_GE(static_cast<double>(prepare.back().a) / 1e6,
             stats.cover_ms + stats.kernels_ms + stats.oracle_ms +
                 stats.skips_ms + stats.compile_ms + stats.extendable_ms);
+}
+
+// The converse: a near query has no Case I position, so its build records
+// no cover, kernel or skip span under its rid and leaves those timings and
+// sizes at 0, while the stages it does run still fill their Stats.
+TEST(SpanTest, NearQueryBuildRecordsNoCoverKernelOrSkipSpans) {
+  obs::SetFlightEnabled(true);
+  Rng rng(97);
+  const ColoredGraph g = testing_common::RandomGraph(1, 120, &rng);
+  const fo::ParseResult r = fo::ParseFormula("dist(x, y) <= 1");
+  ASSERT_TRUE(r.ok) << r.error;
+  EngineOptions options;
+  options.naive_cutoff = 10;
+  options.oracle.small_cutoff = 8;
+  constexpr uint64_t kRid = 9092;
+  std::unique_ptr<EnumerationEngine> engine;
+  {
+    obs::RequestScope scope(kRid);
+    engine = std::make_unique<EnumerationEngine>(g, r.query, options);
+  }
+  ASSERT_FALSE(engine->used_fallback());
+  const auto spans_under_rid = [](const char* name) {
+    std::vector<FlightRecorder::Event> out;
+    for (const FlightRecorder::Event& e : SpansNamed(name)) {
+      if (e.rid == kRid) out.push_back(e);
+    }
+    return out;
+  };
+  for (const char* skipped :
+       {"engine/cover", "engine/kernels", "engine/skips"}) {
+    EXPECT_TRUE(spans_under_rid(skipped).empty()) << skipped;
+  }
+  for (const char* built : {"engine/prepare", "engine/oracle", "engine/lists",
+                            "engine/compile", "engine/extendable"}) {
+    EXPECT_EQ(1u, spans_under_rid(built).size()) << built;
+  }
+  const EnumerationEngine::Stats& stats = engine->stats();
+  EXPECT_EQ(0.0, stats.cover_ms);
+  EXPECT_EQ(0.0, stats.kernels_ms);
+  EXPECT_EQ(0, stats.cover_bags);
+  EXPECT_EQ(0, stats.skip_entries);
+  const std::vector<FlightRecorder::Event> lists =
+      spans_under_rid("engine/lists");
+  ASSERT_FALSE(lists.empty());
+  EXPECT_DOUBLE_EQ(stats.skips_ms, static_cast<double>(lists.back().a) / 1e6)
+      << "with no skips built, the skip timing is the list scans alone";
 }
 
 // The Chrome trace rendered from the rings parses back: spans as "X"
@@ -396,7 +443,8 @@ TEST(EngineMetrics, PrepareStagesPublishGaugesAndPhaseHistograms) {
       reg.GetHistogram("engine.phase.cover_us")->Read().count;
   Rng rng(98);
   const ColoredGraph g = testing_common::RandomGraph(1, 120, &rng);
-  const fo::ParseResult r = fo::ParseFormula("dist(x, y) <= 1");
+  // A Case I query: the cover and kernel stages run.
+  const fo::ParseResult r = fo::ParseFormula("dist(x, y) > 1");
   ASSERT_TRUE(r.ok) << r.error;
   EngineOptions options;
   options.naive_cutoff = 10;

@@ -956,9 +956,10 @@ std::set<std::string> SpanLabelsForRid(const std::string& dump,
 
 // A reload's and an update's stages reach `dump` as span events under the
 // request's rid, with no switch set: the rid of a slow reload or update
-// names the stage that was slow.
+// names the stage that was slow. The far query has a Case I position, so
+// the reload builds the cover, the kernels and the skips.
 TEST_F(DaemonTest, ReloadAndUpdateStagesDumpUnderTheirRid) {
-  Start();
+  Start(DaemonOptions{}, "dist(x, y) > 1");
   const int fd = Connect();
   Client client(fd, fd, /*seed=*/45);
   Response response;

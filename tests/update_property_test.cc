@@ -300,6 +300,123 @@ TEST(UpdatePropertyTest, ColorOnlyStreamAlwaysRepairsInPlace) {
   }
 }
 
+// The Case I twin of EdgeRepairEngagesOnLargeGrid. A far query reads skip
+// pointers at position 1, so prepare builds the cover, the kernels and the
+// skips, and every in-place edge repair must patch all three: the bag
+// patch and kernel recompute, then SkipPointers::RepairKernels. Corner
+// edits keep the dirty overlay under its decline threshold, so every
+// batch repairs in place. Two colors keep the answer set (and the naive
+// evaluator's pass over all n^2 pairs) small enough for the sanitizer
+// twins.
+TEST(UpdatePropertyTest, CaseOneEdgeRepairEngagesOnLargeGrid) {
+  fo::ParseResult parsed =
+      fo::ParseFormula("C0(x) & C1(y) & dist(x, y) > 1");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  Rng rng(91);
+  ColoredGraph reference = RandomGraph(/*kind=*/2, 640, &rng);
+  const int64_t n = reference.NumVertices();
+  ASSERT_GE(n, 500);
+
+  DynamicEngine dynamic(reference, parsed.query);
+  ASSERT_GT(dynamic.engine_stats().cover_bags, 0);
+  ASSERT_GT(dynamic.engine_stats().skip_entries, 0);
+
+  for (int step = 0; step < 8; ++step) {
+    Vertex u = static_cast<Vertex>(rng.NextBounded(40));
+    Vertex v = static_cast<Vertex>(rng.NextBounded(40));
+    if (u == v) v = (v + 1) % 40;
+    const GraphEdit edit = reference.HasEdge(u, v)
+                               ? GraphEdit::RemoveEdge(u, v)
+                               : GraphEdit::AddEdge(u, v);
+    reference.ApplyInPlace(edit);
+    dynamic.Apply(std::span<const GraphEdit>(&edit, 1));
+    dynamic.WaitForSync();
+
+    const DynamicEngine::UpdateStats stats = dynamic.stats();
+    ASSERT_EQ(step + 1, stats.repairs)
+        << "the edge batch declined into a full rebuild at step " << step;
+    EXPECT_GT(stats.last_repair.kernels_recomputed, 0) << "step=" << step;
+    EXPECT_GT(stats.last_repair.skip_rows_recomputed, 0) << "step=" << step;
+
+    EnumerationEngine fresh(reference, parsed.query);
+    const std::vector<Tuple> answers = AllAnswers(dynamic, n);
+    ASSERT_EQ(AllAnswers(fresh, n), answers)
+        << "repair diverged from rebuild at step " << step;
+    fo::NaiveEvaluator naive(reference);
+    ASSERT_EQ(naive.AllSolutions(parsed.query), answers)
+        << "repair diverged from the naive evaluator at step " << step;
+  }
+}
+
+// The Case I twin of ColorOnlyStreamAlwaysRepairsInPlace: every flip
+// changes the C0 list that position 1 reads through its skip pointers, so
+// each repair rebuilds that list's skips in place.
+TEST(UpdatePropertyTest, CaseOneColorOnlyStreamRebuildsSkipsInPlace) {
+  fo::ParseResult parsed = fo::ParseFormula("dist(x, y) > 1 & C0(y)");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  for (int kind = 0; kind < 3; ++kind) {
+    Rng rng(static_cast<uint64_t>(195 + kind));
+    ColoredGraph reference = RandomGraph(kind, 70, &rng);
+    const int64_t n = reference.NumVertices();
+
+    DynamicEngine dynamic(reference, parsed.query);
+    ASSERT_GT(dynamic.engine_stats().skip_entries, 0) << "kind=" << kind;
+
+    for (int step = 0; step < 10; ++step) {
+      const Vertex v = static_cast<Vertex>(rng.NextBounded(n));
+      const GraphEdit edit =
+          GraphEdit::SetColor(v, 0, !reference.HasColor(v, 0));
+      reference.ApplyInPlace(edit);
+      dynamic.Apply(std::span<const GraphEdit>(&edit, 1));
+      dynamic.WaitForSync();
+
+      const DynamicEngine::UpdateStats stats = dynamic.stats();
+      ASSERT_EQ(step + 1, stats.repairs)
+          << "a color flip forced a full rebuild (kind=" << kind
+          << " step=" << step << ")";
+      EXPECT_GT(stats.last_repair.skips_rebuilt, 0)
+          << "kind=" << kind << " step=" << step;
+
+      EnumerationEngine fresh(reference, parsed.query);
+      const std::vector<Tuple> answers = AllAnswers(dynamic, n);
+      ASSERT_EQ(AllAnswers(fresh, n), answers)
+          << "kind=" << kind << " step=" << step;
+      fo::NaiveEvaluator naive(reference);
+      ASSERT_EQ(naive.AllSolutions(parsed.query), answers)
+          << "kind=" << kind << " step=" << step;
+    }
+  }
+}
+
+// A near query has no Case I position: prepare builds no cover, kernel or
+// skip, and an in-place edge repair has none to patch, yet answers stay
+// exact.
+TEST(UpdatePropertyTest, NearQueryBuildsAndRepairsNoCaseOneStructures) {
+  fo::ParseResult parsed = fo::ParseFormula("dist(x, y) <= 2 & C0(y)");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  Rng rng(93);
+  ColoredGraph g = RandomGraph(/*kind=*/2, 640, &rng);
+  EnumerationEngine engine(g, parsed.query);
+  ASSERT_FALSE(engine.used_fallback());
+  EXPECT_EQ(0, engine.stats().cover_bags);
+  EXPECT_EQ(0, engine.stats().skip_entries);
+
+  const GraphEdit edit = GraphEdit::AddEdge(0, 18);  // a corner chord
+  ASSERT_TRUE(g.ApplyInPlace(edit));
+  EnumerationEngine::RepairStats repair;
+  ASSERT_TRUE(engine.Repair(std::span<const GraphEdit>(&edit, 1), &repair));
+  EXPECT_GT(repair.region_size, 0);
+  EXPECT_EQ(0, repair.damaged_bags);
+  EXPECT_EQ(0, repair.kernels_recomputed);
+  EXPECT_EQ(0, repair.skips_repaired);
+  EXPECT_EQ(0, repair.skip_rows_recomputed);
+  EXPECT_EQ(0, engine.stats().skip_entries);
+
+  fo::NaiveEvaluator naive(g);
+  EXPECT_EQ(naive.AllSolutions(parsed.query),
+            AllAnswers(engine, g.NumVertices()));
+}
+
 // Apply a batch, then probe without waiting: probes that land while the
 // repair lane is busy go through the lag lane's lazy baseline
 // and must still agree with a from-scratch engine over the final graph
