@@ -231,10 +231,10 @@ void BM_ServeFlightOverhead(benchmark::State& state) {
 }
 
 // Live epoch swaps under probe load: each iteration is one reload round
-// trip (rebuild on the background lane + atomic publish) while prober
-// threads keep pinning snapshots. Swap drain — how long the retired
-// epoch survives past its replacement's publish — comes from the
-// registry's serve.swap_drain_ns histogram (enabled for this benchmark).
+// trip (rebuild on the reload's handler thread + atomic publish) while
+// prober threads keep pinning snapshots. Swap drain — how long the
+// retired epoch survives past its replacement's publish — comes from the
+// registry's always-on serve.swap_drain_ns histogram.
 void BM_ServeEpochSwap(benchmark::State& state) {
   const int64_t n = state.range(0);
   serve::DaemonOptions options;
@@ -243,7 +243,6 @@ void BM_ServeEpochSwap(benchmark::State& state) {
   serve::Client reloader(harness.client_fds[0], harness.client_fds[0],
                          /*seed=*/1);
 
-  obs::SetMetricsEnabled(true);
   std::atomic<bool> stop{false};
   std::vector<std::thread> probers;
   for (int t = 1; t <= 2; ++t) {
@@ -282,7 +281,6 @@ void BM_ServeEpochSwap(benchmark::State& state) {
   }
   stop.store(true, std::memory_order_release);
   for (std::thread& p : probers) p.join();
-  obs::SetMetricsEnabled(false);
 
   // Retirement runs on whichever thread drops the last pin; give the
   // final iteration's drain a moment to land before reading the delta.

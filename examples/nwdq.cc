@@ -22,10 +22,12 @@
 // --metrics-json / --metrics-prom / --trace-json write the observability
 // artifacts when the run finishes: a metrics snapshot (nwd-metrics/1
 // schema or Prometheus text exposition, fleet-scrapeable with
-// tools/nwd-stat; these flags turn metrics on) and a chrome://tracing
-// timeline rendered from the always-on flight recorder: every prepare
-// stage and batch call as a span, every other recorded event as an
-// instant, the newest NWD_FLIGHT_CAPACITY events per thread.
+// tools/nwd-stat) and a chrome://tracing timeline rendered from the
+// always-on flight recorder: every prepare stage and batch call as a
+// span, every other recorded event as an instant, the newest
+// NWD_FLIGHT_CAPACITY events per thread. Serial enumeration times each
+// NextSolution() call into enumerate.first_solution_ns (the first output)
+// and enumerate.delay_ns (every later one).
 //
 // A probe file holds one probe per line: `test a,b,...`, `next a,b,...`,
 // or a bare tuple `a,b,...` (treated as test). Blank lines and lines
@@ -336,7 +338,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: cannot write metrics file '%s'\n", path);
         return 1;
       }
-      nwd::obs::SetMetricsEnabled(true);
     } else if (arg == "--metrics-prom" && i + 1 < argc) {
       const char* path = argv[++i];
       obs_export.metrics_prom.open(path, std::ios::trunc);
@@ -344,7 +345,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: cannot write metrics file '%s'\n", path);
         return 1;
       }
-      nwd::obs::SetMetricsEnabled(true);
     } else if (arg == "--trace-json" && i + 1 < argc) {
       const char* path = argv[++i];
       obs_export.trace.open(path, std::ios::trunc);
@@ -515,9 +515,22 @@ int main(int argc, char** argv) {
       }
     }
   } else {
+    // Corollary 2.5 bounds the delay between consecutive outputs, so each
+    // NextSolution() call is timed into a distribution. The first output
+    // absorbs First()'s lazy work and gets its own histogram instead of
+    // skewing the steady-state one.
+    auto& registry = nwd::obs::MetricsRegistry::Global();
+    nwd::obs::Histogram* first_solution_ns =
+        registry.GetHistogram("enumerate.first_solution_ns");
+    nwd::obs::Histogram* delay_ns = registry.GetHistogram("enumerate.delay_ns");
     nwd::ConstantDelayEnumerator enumerator(engine);
-    for (auto t = enumerator.NextSolution();
-         t.has_value() && produced < limit; t = enumerator.NextSolution()) {
+    nwd::Timer delay;
+    while (produced < limit) {
+      delay.Restart();
+      const std::optional<nwd::Tuple> t = enumerator.NextSolution();
+      const int64_t elapsed_ns = delay.ElapsedNanos();
+      if (!t.has_value()) break;
+      (produced == 0 ? first_solution_ns : delay_ns)->Record(elapsed_ns);
       PrintTuple(*t);
       std::printf("\n");
       ++produced;

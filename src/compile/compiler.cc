@@ -529,8 +529,6 @@ std::unique_ptr<CompiledQuery> Compile(const Lnf& lnf, const ColoredGraph& g,
   q->stats.test_insns = static_cast<int64_t>(q->test_code.size());
   q->stats.next_insns = static_cast<int64_t>(q->next_code.size());
   q->stats.checks = static_cast<int64_t>(q->checks.size());
-  q->test_hits = std::vector<std::atomic<uint64_t>>(q->test_code.size());
-  q->next_hits = std::vector<std::atomic<uint64_t>>(q->next_code.size());
   return q;
 }
 

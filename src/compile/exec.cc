@@ -4,7 +4,6 @@
 #include <atomic>
 #include <span>
 
-#include "obs/metrics.h"
 #include "util/budget.h"
 #include "util/fault_injection.h"
 
@@ -75,12 +74,10 @@ inline std::span<const Vertex> AnchorBall(const ExecEnv& env, int radius,
   return ball;
 }
 
-template <bool kCount>
 bool ExecTestImpl(const CompiledQuery& q, const ExecEnv& env, const Vertex* t,
                   ProbeContext* ctx) {
   const Insn* code = q.test_code.data();
   uint8_t* memo = ctx->test_memo.data();
-  std::atomic<uint64_t>* hits = q.test_hits.data();
   int64_t executed = 0;
   int32_t pc = 0;
 
@@ -91,13 +88,10 @@ bool ExecTestImpl(const CompiledQuery& q, const ExecEnv& env, const Vertex* t,
       &&l_kReject,  &&l_bad,   &&l_bad,     &&l_bad,     &&l_bad,
       &&l_bad,      &&l_bad,   &&l_bad};
 #define NWD_OPCASE(name) l_##name:
-#define NWD_DISPATCH()                                       \
-  do {                                                       \
-    ++executed;                                              \
-    if constexpr (kCount) {                                  \
-      hits[pc].fetch_add(1, std::memory_order_relaxed);      \
-    }                                                        \
-    goto* kTargets[static_cast<size_t>(code[pc].op)];        \
+#define NWD_DISPATCH()                                \
+  do {                                                \
+    ++executed;                                       \
+    goto* kTargets[static_cast<size_t>(code[pc].op)]; \
   } while (0)
   NWD_DISPATCH();
 #else
@@ -105,9 +99,6 @@ bool ExecTestImpl(const CompiledQuery& q, const ExecEnv& env, const Vertex* t,
 #define NWD_DISPATCH() continue
   for (;;) {
     ++executed;
-    if constexpr (kCount) {
-      hits[pc].fetch_add(1, std::memory_order_relaxed);
-    }
     switch (code[pc].op) {
 #endif
 
@@ -166,12 +157,11 @@ bool ExecTestImpl(const CompiledQuery& q, const ExecEnv& env, const Vertex* t,
 
 // kExtend selects the pinned-first-coordinate descent (ExecExtendCase):
 // backtracking into position 0 ends it, and so does a tripped budget.
-template <bool kCount, bool kExtend>
+template <bool kExtend>
 bool ExecNextImpl(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
                   const Vertex* from, ProbeContext* ctx) {
   const Insn* code = q.next_code.data();
   const Check* checks = q.checks.data();
-  std::atomic<uint64_t>* hits = q.next_hits.data();
   Vertex* regs = ctx->assignment.data();
   Vertex* minval = ctx->next_minval.data();
   uint8_t* tin = ctx->next_tin.data();  // tightness entering each position
@@ -186,13 +176,10 @@ bool ExecNextImpl(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
       &&l_bad,   &&l_kInit,     &&l_kFindExt0, &&l_kFindBall, &&l_kFindSkip,
       &&l_kBump, &&l_kFound,    &&l_kFail};
 #define NWD_OPCASE(name) l_##name:
-#define NWD_DISPATCH()                                       \
-  do {                                                       \
-    ++executed;                                              \
-    if constexpr (kCount) {                                  \
-      hits[pc].fetch_add(1, std::memory_order_relaxed);      \
-    }                                                        \
-    goto* kTargets[static_cast<size_t>(code[pc].op)];        \
+#define NWD_DISPATCH()                                \
+  do {                                                \
+    ++executed;                                       \
+    goto* kTargets[static_cast<size_t>(code[pc].op)]; \
   } while (0)
   NWD_DISPATCH();
 #else
@@ -200,9 +187,6 @@ bool ExecNextImpl(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
 #define NWD_DISPATCH() continue
   for (;;) {
     ++executed;
-    if constexpr (kCount) {
-      hits[pc].fetch_add(1, std::memory_order_relaxed);
-    }
     switch (code[pc].op) {
 #endif
 
@@ -351,20 +335,14 @@ bool ExecTest(const CompiledQuery& q, const ExecEnv& env, const Tuple& tuple,
               ProbeContext* ctx) {
   ctx->test_memo.assign(static_cast<size_t>(q.num_test_regs), 0);
   ctx->compiled_probes.fetch_add(1, std::memory_order_relaxed);
-  if (obs::MetricsEnabled()) {
-    return ExecTestImpl<true>(q, env, tuple.data(), ctx);
-  }
-  return ExecTestImpl<false>(q, env, tuple.data(), ctx);
+  return ExecTestImpl(q, env, tuple.data(), ctx);
 }
 
 bool ExecNextCase(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
                   const Tuple& from, ProbeContext* ctx) {
   EnsureDescentScratch(q, ctx);
   ctx->compiled_probes.fetch_add(1, std::memory_order_relaxed);
-  if (obs::MetricsEnabled()) {
-    return ExecNextImpl<true, false>(q, env, entry, from.data(), ctx);
-  }
-  return ExecNextImpl<false, false>(q, env, entry, from.data(), ctx);
+  return ExecNextImpl<false>(q, env, entry, from.data(), ctx);
 }
 
 bool ExecExtendCase(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
@@ -377,7 +355,7 @@ bool ExecExtendCase(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
   // is position 1's kInit.
   ctx->next_ct[0] = 0;
   const Vertex* regs = ctx->assignment.data();
-  return ExecNextImpl<false, true>(q, env, entry + 2, regs, ctx);
+  return ExecNextImpl<true>(q, env, entry + 2, regs, ctx);
 }
 
 }  // namespace compile

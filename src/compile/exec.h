@@ -54,9 +54,8 @@ bool ExecNextCase(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
 // is never advanced — or when the case is dead (entry < 0). Anchor-ball
 // BFS is charged to ctx->budget when set, and a tripped budget ends the
 // descent at the next backtrack. This is the extendable-coordinate
-// descent of preprocessing and Repair. It runs on the non-counting
-// executor and counts no probe; the engine gives it private contexts, so
-// it never reaches the answer counters.
+// descent of preprocessing and Repair. It counts no probe, and the engine
+// gives it private contexts, so it never reaches the answer counters.
 bool ExecExtendCase(const CompiledQuery& q, const ExecEnv& env, int32_t entry,
                     ProbeContext* ctx);
 

@@ -1,6 +1,5 @@
 #include "compile/program.h"
 
-#include <cinttypes>
 #include <cstdio>
 
 namespace nwd {
@@ -52,28 +51,9 @@ const char* CheckKindName(Check::Kind kind) {
   return "?";
 }
 
-std::array<uint64_t, kNumOps> CompiledQuery::DrainOpHits() const {
-  std::array<uint64_t, kNumOps> out{};
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  test_hits_drained_.resize(test_hits.size(), 0);
-  next_hits_drained_.resize(next_hits.size(), 0);
-  for (size_t i = 0; i < test_hits.size(); ++i) {
-    const uint64_t cur = test_hits[i].load(std::memory_order_relaxed);
-    out[static_cast<size_t>(test_code[i].op)] += cur - test_hits_drained_[i];
-    test_hits_drained_[i] = cur;
-  }
-  for (size_t i = 0; i < next_hits.size(); ++i) {
-    const uint64_t cur = next_hits[i].load(std::memory_order_relaxed);
-    out[static_cast<size_t>(next_code[i].op)] += cur - next_hits_drained_[i];
-    next_hits_drained_[i] = cur;
-  }
-  return out;
-}
-
 namespace {
 
-void AppendInsn(std::string* out, int32_t pc, const Insn& insn,
-                uint64_t hits) {
+void AppendInsn(std::string* out, int32_t pc, const Insn& insn) {
   char line[160];
   int len = std::snprintf(line, sizeof(line), "  [%3d] %-9s", pc,
                           OpName(insn.op));
@@ -119,7 +99,6 @@ void AppendInsn(std::string* out, int32_t pc, const Insn& insn,
       append(" pos=%d -> %d", insn.a, insn.succ);
       break;
   }
-  if (hits != 0) append(" hits=%" PRIu64, hits);
   out->append(line, static_cast<size_t>(len));
   out->push_back('\n');
 }
@@ -146,10 +125,7 @@ std::string CompiledQuery::Disassemble() const {
                 test_code.size(), num_test_regs);
   out += buf;
   for (size_t pc = 0; pc < test_code.size(); ++pc) {
-    AppendInsn(&out, static_cast<int32_t>(pc), test_code[pc],
-               pc < test_hits.size()
-                   ? test_hits[pc].load(std::memory_order_relaxed)
-                   : 0);
+    AppendInsn(&out, static_cast<int32_t>(pc), test_code[pc]);
   }
   std::snprintf(buf, sizeof(buf), "next program (%zu insns):\n",
                 next_code.size());
@@ -160,10 +136,7 @@ std::string CompiledQuery::Disassemble() const {
     out += buf;
   }
   for (size_t pc = 0; pc < next_code.size(); ++pc) {
-    AppendInsn(&out, static_cast<int32_t>(pc), next_code[pc],
-               pc < next_hits.size()
-                   ? next_hits[pc].load(std::memory_order_relaxed)
-                   : 0);
+    AppendInsn(&out, static_cast<int32_t>(pc), next_code[pc]);
   }
   std::snprintf(buf, sizeof(buf), "checks (%zu):\n", checks.size());
   out += buf;

@@ -36,19 +36,15 @@
 // parity suites check the answers against fo::NaiveEvaluator.
 //
 // A CompiledQuery is immutable after Compile() and safe to execute from
-// any number of threads; all per-probe state lives in the caller's
-// ProbeContext. The per-site hit counters are the one exception —
-// monotone relaxed atomics only touched by the counting executor (metrics
-// builds), drained into the obs registry via DrainOpHits().
+// any number of threads; all per-probe state, the executor's work
+// counters (ProbeContext::compiled_probes / compiled_insns) included,
+// lives in the caller's ProbeContext.
 
 #ifndef NWD_COMPILE_PROGRAM_H_
 #define NWD_COMPILE_PROGRAM_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -130,9 +126,9 @@ struct CompileStats {
   int64_t test_regs = 0;  // distinct memoized distance tests
 };
 
-// An immutable compiled query: both programs, the shared check pool, and
-// the per-site execution counters. Built by Compile() (compiler.cc),
-// executed by ExecTest/ExecNextCase (exec.cc).
+// An immutable compiled query: both programs and the shared check pool.
+// Built by Compile() (compiler.cc), executed by ExecTest/ExecNextCase
+// (exec.cc).
 class CompiledQuery {
  public:
   int arity = 0;
@@ -158,27 +154,9 @@ class CompiledQuery {
   int num_test_regs = 0;
   CompileStats stats;
 
-  // Per-site execution counts, parallel to test_code/next_code. Monotone
-  // relaxed atomics written only by the counting executor (metrics
-  // builds); the plain executor never touches them. Mutable: they are
-  // statistics on a logically immutable program, bumped through const&.
-  mutable std::vector<std::atomic<uint64_t>> test_hits;
-  mutable std::vector<std::atomic<uint64_t>> next_hits;
-
-  // Sums the per-site counters by opcode and returns the delta since the
-  // last drain (so concurrent engines feed process-wide counters without
-  // double counting). Thread-safe.
-  std::array<uint64_t, kNumOps> DrainOpHits() const;
-
-  // One insn per line with resolved operands, plus the check pool and the
-  // per-site hit counts accumulated so far. The nwdq --dump-program
-  // output.
+  // One insn per line with resolved operands, plus the check pool. The
+  // nwdq --dump-program output.
   std::string Disassemble() const;
-
- private:
-  mutable std::mutex drain_mu_;
-  mutable std::vector<uint64_t> test_hits_drained_;
-  mutable std::vector<uint64_t> next_hits_drained_;
 };
 
 }  // namespace compile

@@ -1,7 +1,6 @@
 #include "enumerate/engine.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <map>
 #include <span>
@@ -42,7 +41,6 @@ struct EngineInstruments {
   obs::Counter* compile_specialized_finds;
   obs::Counter* compiled_probes;
   obs::Counter* compiled_exec_insns;
-  obs::Counter* compiled_op_hits[compile::kNumOps];
   obs::Gauge* cover_bags;
   obs::Gauge* cover_degree;
   obs::Gauge* kernel_values;
@@ -78,11 +76,6 @@ EngineInstruments& Instruments() {
     m->compile_specialized_finds = reg.GetCounter("compile.specialized_finds");
     m->compiled_probes = reg.GetCounter("compile.exec.probes");
     m->compiled_exec_insns = reg.GetCounter("compile.exec.insns");
-    for (int i = 0; i < compile::kNumOps; ++i) {
-      m->compiled_op_hits[i] = reg.GetCounter(
-          std::string("compile.exec.op.") +
-          compile::OpName(static_cast<compile::Op>(i)));
-    }
     m->cover_bags = reg.GetGauge("engine.cover.bags");
     m->cover_degree = reg.GetGauge("engine.cover.degree");
     m->kernel_values = reg.GetGauge("engine.kernels.values");
@@ -1103,18 +1096,6 @@ AnswerCounters EnumerationEngine::DrainAnswerStats() const {
   m.compiled_probes->Add(drained.compiled_probes);
   m.compiled_exec_insns->Add(drained.compiled_insns);
   m.answer_contexts->SetMax(drained.contexts);
-  if (compiled_ != nullptr) {
-    // Per-op execution counts accumulate at the program's sites; publish
-    // the delta since the last drain under compile.exec.op.*.
-    const std::array<uint64_t, compile::kNumOps> ops =
-        compiled_->DrainOpHits();
-    for (int i = 0; i < compile::kNumOps; ++i) {
-      if (ops[static_cast<size_t>(i)] != 0) {
-        m.compiled_op_hits[i]->Add(
-            static_cast<int64_t>(ops[static_cast<size_t>(i)]));
-      }
-    }
-  }
   return drained;
 }
 

@@ -329,7 +329,7 @@ class EnumerationEngine {
 
   // Whether a0, pinned at position 0 of case `case_index`, completes to a
   // solution of the case; the completion is left in ctx->assignment. One
-  // non-counting descent on the executor (compile::ExecExtendCase).
+  // descent on the executor that counts no probe (compile::ExecExtendCase).
   bool Extends(size_t case_index, Vertex a0, ProbeContext* ctx) const;
 
   // Runs the full descent for one case; on success the solution is left in

@@ -35,9 +35,6 @@ class ConstantDelayEnumerator {
   std::optional<Tuple> cursor_;  // next probe position
   bool done_ = false;
   int64_t produced_ = 0;
-  // Timestamp of the previous output when metrics are enabled (0 = none
-  // yet); feeds the enumerate.delay_ns histogram.
-  int64_t last_output_ns_ = 0;
 };
 
 }  // namespace nwd

@@ -83,6 +83,7 @@ std::unique_ptr<DistanceOracle::Level> DistanceOracle::BuildLevel(
     // Budget tripped mid-build; do not hang bag structures off the
     // incomplete cover.
     NWD_CHECK(options_.budget != nullptr && options_.budget->Exceeded());
+    stats_.budget_exhausted = true;
     level->leaf = true;
     return level;
   }

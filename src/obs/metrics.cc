@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/json.h"
 #include "util/check.h"
@@ -181,30 +180,6 @@ void MetricsRegistry::ResetForTest() {
     h.~Histogram();
     new (&h) Histogram();
   }
-}
-
-namespace {
-
-std::atomic<int>& MetricsEnabledFlag() {
-  // -1 = unresolved (consult the environment on first query).
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-
-}  // namespace
-
-bool MetricsEnabled() {
-  int state = MetricsEnabledFlag().load(std::memory_order_relaxed);
-  if (state < 0) {
-    const char* env = std::getenv("NWD_METRICS");
-    state = (env != nullptr && env[0] != '\0' && env[0] != '0') ? 1 : 0;
-    MetricsEnabledFlag().store(state, std::memory_order_relaxed);
-  }
-  return state != 0;
-}
-
-void SetMetricsEnabled(bool enabled) {
-  MetricsEnabledFlag().store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
 }  // namespace obs

@@ -21,10 +21,12 @@
 // Scraping (Snapshot / WriteJson) runs concurrently with mutations and
 // sees per-instrument coherent values.
 //
-// Timed hooks that would cost a clock read per event (the enumerator's
-// delay histogram) are additionally gated behind MetricsEnabled(), an env
-// (NWD_METRICS=1) / programmatic toggle, so the disabled path is one
-// relaxed load and branch.
+// Every instrument is always on; there is no switch. A timed hook records
+// only where its clock reads are already paid for: the daemon's request
+// and epoch-drain histograms reuse the timestamps the flight recorder and
+// the snapshot deleter take anyway, and per-solution delays are timed by
+// the caller that drives the enumerator (nwdq, bench_delay, nwd-attest),
+// never inside the library's answer path.
 
 #ifndef NWD_OBS_METRICS_H_
 #define NWD_OBS_METRICS_H_
@@ -161,13 +163,6 @@ class MetricsRegistry {
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
 };
-
-// Gate for timed metric hooks (clock reads per event). Default comes from
-// the environment (NWD_METRICS=1 enables) and can be overridden
-// programmatically (the nwdq --metrics-json flag). Plain counter/gauge
-// updates are always on — they are a relaxed add.
-bool MetricsEnabled();
-void SetMetricsEnabled(bool enabled);
 
 }  // namespace obs
 }  // namespace nwd

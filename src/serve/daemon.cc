@@ -13,7 +13,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "enumerate/enumerator.h"
 #include "fo/analysis.h"
 #include "gen/generators.h"
 #include "obs/flight.h"
@@ -180,13 +179,11 @@ Daemon::Daemon(const fo::Query& query, DaemonOptions options)
       gate_(options_.max_inflight, options_.retry_after_ms) {
   // A dying client must surface as EPIPE on write, not kill the process.
   ::signal(SIGPIPE, SIG_IGN);
-  rebuild_thread_ = std::thread([this] { RebuildThreadBody(); });
 }
 
 Daemon::~Daemon() {
   Stop();
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (rebuild_thread_.joinable()) rebuild_thread_.join();
   std::vector<std::shared_ptr<ConnRecord>> records;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
@@ -301,6 +298,7 @@ void Daemon::HandleConnection(int read_fd, int write_fd,
     const int64_t latency_ns = obs::NowNs() - started_ns;
     obs::FlightRecord(obs::FlightEventKind::kRequestEnd, nullptr, latency_ns,
                       alive ? 1 : 0, static_cast<uint32_t>(request.op));
+    metrics.request_ns->Record(latency_ns);
     if (options_.slow_request_ms > 0 && obs::FlightEnabled() &&
         latency_ns >= options_.slow_request_ms * 1'000'000) {
       obs::FlightRecorder::Global().CaptureSlow(rid, latency_ns);
@@ -389,30 +387,19 @@ bool Daemon::HandleRequest(FdStream* stream, const Request& request) {
                                            : ticket.retry_after_ms();
     return SendError(stream, ErrorCode::kRetryAfter, "at capacity", hint);
   }
-  const int64_t admitted_at_ns = obs::NowNs();
-  bool alive = true;
   switch (request.op) {
     case RequestOp::kTest:
     case RequestOp::kNext:
-      alive = HandleProbe(stream, request);
-      break;
+      return HandleProbe(stream, request);
     case RequestOp::kEnumerate:
-      alive = HandleEnumerate(stream, request, admitted_at_ns);
-      break;
+      return HandleEnumerate(stream, request);
     case RequestOp::kReload:
-      alive = HandleReload(stream, request);
-      break;
+      return HandleReload(stream, request);
     case RequestOp::kUpdate:
-      alive = HandleUpdate(stream, request);
-      break;
+      return HandleUpdate(stream, request);
     default:
-      alive = SendError(stream, ErrorCode::kInternal, "unroutable op");
-      break;
+      return SendError(stream, ErrorCode::kInternal, "unroutable op");
   }
-  if (obs::MetricsEnabled()) {
-    metrics.request_ns->Record(obs::NowNs() - admitted_at_ns);
-  }
-  return alive;
 }
 
 bool Daemon::HandleProbe(FdStream* stream, const Request& request) {
@@ -459,9 +446,7 @@ bool Daemon::HandleProbe(FdStream* stream, const Request& request) {
   return true;
 }
 
-bool Daemon::HandleEnumerate(FdStream* stream, const Request& request,
-                             int64_t admitted_at_ns) {
-  (void)admitted_at_ns;
+bool Daemon::HandleEnumerate(FdStream* stream, const Request& request) {
   ServeMetrics& metrics = ServeMetrics::Get();
   const std::shared_ptr<const EngineSnapshot> snapshot = registry_.Acquire();
   if (snapshot == nullptr) {
@@ -535,40 +520,54 @@ bool Daemon::HandleReload(FdStream* stream, const Request& request) {
   if (!options_.allow_reload) {
     return SendError(stream, ErrorCode::kBadRequest, "reload disabled");
   }
-  auto job = std::make_shared<RebuildJob>();
-  job->source = request.source;
-  job->budget_ms = request.budget_ms;
-  job->max_edge_work = request.max_edge_work;
-  job->rid = obs::CurrentRequestId();
   {
     std::unique_lock<std::mutex> lock(rebuild_mu_);
-    if (rebuild_busy_ || pending_job_ != nullptr) {
+    if (rebuild_busy_) {
       // One rebuild at a time, none queued: reload admission control.
       metrics.rejected->Increment();
       lock.unlock();
       return SendError(stream, ErrorCode::kRetryAfter, "rebuild in flight",
                        options_.retry_after_ms * 4);
     }
-    pending_job_ = job;
-    rebuild_cv_.notify_all();
-    rebuild_cv_.wait(lock, [&] {
-      return job->done || stopping_.load(std::memory_order_acquire);
-    });
-    if (!job->done) {
-      return SendError(stream, ErrorCode::kShuttingDown,
-                       "daemon stopped during rebuild");
-    }
+    rebuild_busy_ = true;
   }
-  if (!job->ok) {
+  // Build outside the lock: other connections keep probing the current
+  // snapshot while this runs. The build's spans and flight events carry
+  // this request's rid (its RequestScope is installed). A Stop() arriving
+  // meanwhile lets the build finish and publish.
+  EngineOptions engine_options = options_.engine;
+  if (request.budget_ms > 0) {
+    engine_options.budget.deadline_ms = request.budget_ms;
+  }
+  if (request.max_edge_work > 0) {
+    engine_options.budget.max_edge_work = request.max_edge_work;
+  }
+  const int64_t started_ns = obs::NowNs();
+  std::string error;
+  std::unique_ptr<EngineSnapshot> snapshot =
+      BuildSnapshot(request.source, engine_options, &error);
+  const bool ok = snapshot != nullptr;
+  bool degraded = false;
+  int64_t epoch = 0;
+  if (ok) {
+    degraded = snapshot->dynamic->engine_stats().degraded;
+    epoch = registry_.Publish(std::move(snapshot));
+  }
+  const double prep_ms = static_cast<double>(obs::NowNs() - started_ns) / 1e6;
+  {
+    std::lock_guard<std::mutex> lock(rebuild_mu_);
+    rebuild_busy_ = false;
+  }
+  if (!ok) {
     metrics.bad_requests->Increment();
-    return SendError(stream, ErrorCode::kBadRequest, job->error);
+    return SendError(stream, ErrorCode::kBadRequest, error);
   }
   metrics.reloads->Increment();
-  if (job->degraded) metrics.degraded->Increment();
+  if (degraded) metrics.degraded->Increment();
   char prep[32];
-  std::snprintf(prep, sizeof(prep), "%.3f", job->prep_ms);
-  const std::string reply = "ok reload epoch=" + std::to_string(job->epoch) +
-                            " degraded=" + (job->degraded ? "1" : "0") +
+  std::snprintf(prep, sizeof(prep), "%.3f", prep_ms);
+  const std::string reply = "ok reload epoch=" + std::to_string(epoch) +
+                            " degraded=" + (degraded ? "1" : "0") +
                             " prep_ms=" + prep + RidSuffix();
   if (!WriteFrame(stream, reply)) {
     metrics.dropped_conns->Increment();
@@ -608,7 +607,7 @@ bool Daemon::HandleUpdate(FdStream* stream, const Request& request) {
     // silently discard an edit this reply acknowledges. Same
     // reject-don't-queue admission as reload itself.
     std::lock_guard<std::mutex> lock(rebuild_mu_);
-    if (rebuild_busy_ || pending_job_ != nullptr) {
+    if (rebuild_busy_) {
       metrics.rejected->Increment();
       return SendError(stream, ErrorCode::kRetryAfter, "rebuild in flight",
                        options_.retry_after_ms * 4);
@@ -633,6 +632,14 @@ bool Daemon::HandleUpdate(FdStream* stream, const Request& request) {
 
 bool Daemon::HandleMetrics(FdStream* stream, const Request& request) {
   ServeMetrics& metrics = ServeMetrics::Get();
+  // Answer-time counters stay in the probe contexts until drained; publish
+  // the live epoch's so the scrape counts current traffic, not only that of
+  // retired engines. The drain may wait out an in-flight repair, which is
+  // why it runs here and never on the probe path.
+  if (const std::shared_ptr<const EngineSnapshot> snapshot =
+          registry_.Acquire()) {
+    snapshot->dynamic->DrainAnswerStats();
+  }
   std::ostringstream body;
   if (request.prom_format) {
     obs::WriteGlobalPrometheus(body);
@@ -704,48 +711,6 @@ bool Daemon::HandleDump(FdStream* stream) {
   return true;
 }
 
-void Daemon::RebuildThreadBody() {
-  while (true) {
-    std::shared_ptr<RebuildJob> job;
-    {
-      std::unique_lock<std::mutex> lock(rebuild_mu_);
-      rebuild_cv_.wait(lock, [&] {
-        return pending_job_ != nullptr ||
-               stopping_.load(std::memory_order_acquire);
-      });
-      if (pending_job_ == nullptr) return;  // stopping
-      job = std::move(pending_job_);
-      pending_job_ = nullptr;
-      rebuild_busy_ = true;
-    }
-    // Build outside the lock: serving threads keep probing the current
-    // snapshot while this runs. The originating request's id rides along
-    // so the rebuild's spans and flight events attribute to the reload
-    // that asked for it, not to an anonymous background thread.
-    obs::RequestScope rid_scope(job->rid);
-    EngineOptions engine_options = options_.engine;
-    if (job->budget_ms > 0) engine_options.budget.deadline_ms = job->budget_ms;
-    if (job->max_edge_work > 0) {
-      engine_options.budget.max_edge_work = job->max_edge_work;
-    }
-    const int64_t started_ns = obs::NowNs();
-    std::unique_ptr<EngineSnapshot> snapshot =
-        BuildSnapshot(job->source, engine_options, &job->error);
-    job->ok = snapshot != nullptr;
-    if (job->ok) {
-      job->degraded = snapshot->dynamic->engine_stats().degraded;
-      job->epoch = registry_.Publish(std::move(snapshot));
-    }
-    job->prep_ms = static_cast<double>(obs::NowNs() - started_ns) / 1e6;
-    {
-      std::lock_guard<std::mutex> lock(rebuild_mu_);
-      rebuild_busy_ = false;
-      job->done = true;
-      rebuild_cv_.notify_all();
-    }
-  }
-}
-
 bool Daemon::ListenTcp(int port, std::string* error) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -814,10 +779,6 @@ void Daemon::Stop() {
         }
       }
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(rebuild_mu_);
-    rebuild_cv_.notify_all();
   }
   {
     std::lock_guard<std::mutex> lock(stop_mu_);

@@ -1,16 +1,17 @@
 // nwdd's core: a long-running daemon serving Test/Next/Enumerate probes
 // over the frame protocol of serve/wire.h, hardened along four axes.
 //
-//   1. Epoch snapshot swap. Reload requests rebuild the engine in a
-//      dedicated background rebuild thread (never on a serving thread)
-//      and publish atomically through SnapshotRegistry; requests pin the
-//      snapshot they started on, so an in-flight enumeration finishes on
-//      its epoch while new requests already see the next one. The
-//      rebuild is admission-controlled too: a second reload arriving
-//      while one is in flight is rejected with RETRY_AFTER, and the
-//      rebuild runs under the request's ResourceBudget — a budget trip
-//      publishes a degraded-but-correct engine (the PR 2 lazy baseline)
-//      instead of failing the swap.
+//   1. Epoch snapshot swap. A reload request rebuilds the engine on its
+//      own connection's handler thread, which has nothing else to serve
+//      until the reply, and publishes atomically through
+//      SnapshotRegistry; requests pin the snapshot they started on, so an
+//      in-flight enumeration finishes on its epoch while new requests
+//      already see the next one. The rebuild is admission-controlled
+//      too: a second reload (or an update) arriving while one is in
+//      flight is rejected with RETRY_AFTER, and the rebuild runs under
+//      the request's ResourceBudget — a budget trip publishes a
+//      degraded-but-correct engine (the lazy baseline) instead of
+//      failing the swap.
 //
 //   2. Per-request deadlines. Every request may carry deadline_ms; a
 //      request that can't start in time gets DEADLINE_EXCEEDED, and an
@@ -26,11 +27,13 @@
 //      drops the connection (serve.dropped_conns) rather than wedging a
 //      worker.
 //
-//   4. Fault visibility. Every outcome increments a serve.* metric, and
-//      the `metrics` request dumps the whole registry as nwd-metrics/1
-//      JSON (or Prometheus text with format=prom), so a soak harness
-//      (tests/serve_soak_test.cc) can reconcile client-observed outcomes
-//      against the daemon's own accounting. Serve-path fault points
+//   4. Fault visibility. Every outcome increments a serve.* metric,
+//      every parsed request's latency lands in serve.request_ns, and the
+//      `metrics` request drains the live epoch's answer counters, then
+//      dumps the whole registry as nwd-metrics/1 JSON (or Prometheus text
+//      with format=prom), so a soak harness (tests/serve_soak_test.cc)
+//      can reconcile client-observed outcomes against the daemon's own
+//      accounting. No metric has a switch. Serve-path fault points
 //      (NWD_FAULT_POINT, incl. the probabilistic NWD_FAULT_PROB mode):
 //      serve/admission/reject, serve/frame/corrupt, serve/answer,
 //      serve/stream/abort, serve/stream/deadline, serve/worker/death.
@@ -39,17 +42,19 @@
 //      64-bit request id (client-supplied rid= or minted) installed via
 //      obs::RequestScope; every response frame carries ` rid=N`, every
 //      flight event the request produces (its spans included) is stamped
-//      with it, and the rebuild/repair lanes inherit the originating id —
+//      with it, and the repair lane inherits the originating id —
 //      one id reconstructs a request's full path across epoch swaps. The
 //      always-on flight recorder (obs/flight.h) keeps the recent event
 //      history: the `dump` verb returns it over the wire, a simulated
 //      worker death dumps it to stderr (dump_on_death), and requests
 //      slower than slow_request_ms are captured eagerly.
 //
-// Threading model: one handler thread per connection (ServeFd), plus one
-// background rebuild thread, plus an optional TCP accept thread. A
-// connection serves its requests strictly in order; cross-request
-// concurrency comes from multiple connections, bounded by the gate.
+// Threading model: one handler thread per connection (ServeFd), plus an
+// optional TCP accept thread; each snapshot's DynamicEngine adds its own
+// repair thread. A connection serves its requests strictly in order, a
+// reload's build included; cross-request concurrency comes from multiple
+// connections, bounded by the gate, and at most one reload builds at a
+// time (rebuild_busy_).
 
 #ifndef NWD_SERVE_DAEMON_H_
 #define NWD_SERVE_DAEMON_H_
@@ -141,8 +146,8 @@ class Daemon {
   bool ListenTcp(int port, std::string* error);
   int tcp_port() const { return tcp_port_; }  // resolved port (for 0)
 
-  // Stops accepting, asks handlers to finish their current request, and
-  // wakes the rebuild thread. Idempotent.
+  // Stops accepting and asks handlers to finish their current request (a
+  // reload still building finishes and publishes). Idempotent.
   void Stop();
   bool stopping() const {
     return stopping_.load(std::memory_order_acquire);
@@ -154,20 +159,6 @@ class Daemon {
   SnapshotRegistry& registry() { return registry_; }
 
  private:
-  struct RebuildJob {
-    std::string source;
-    int64_t budget_ms = 0;
-    int64_t max_edge_work = 0;
-    uint64_t rid = 0;  // originating request id (spans/events attribution)
-    // Result (valid once done=true):
-    bool ok = false;
-    std::string error;
-    int64_t epoch = 0;
-    bool degraded = false;
-    double prep_ms = 0.0;
-    bool done = false;
-  };
-
   struct ConnRecord;
   // Connection handler body. `record` is null for ServeBlocking (fds
   // borrowed, caller-managed); otherwise the handler closes the fds
@@ -177,8 +168,7 @@ class Daemon {
   // close (write failure / shutdown).
   bool HandleRequest(FdStream* stream, const Request& request);
   bool HandleProbe(FdStream* stream, const Request& request);
-  bool HandleEnumerate(FdStream* stream, const Request& request,
-                       int64_t admitted_at_ns);
+  bool HandleEnumerate(FdStream* stream, const Request& request);
   bool HandleReload(FdStream* stream, const Request& request);
   bool HandleUpdate(FdStream* stream, const Request& request);
   bool HandleMetrics(FdStream* stream, const Request& request);
@@ -194,7 +184,6 @@ class Daemon {
   std::unique_ptr<EngineSnapshot> BuildSnapshot(const std::string& source,
                                                 const EngineOptions& engine,
                                                 std::string* error) const;
-  void RebuildThreadBody();
   void AcceptThreadBody();
 
   const fo::Query query_;
@@ -204,13 +193,11 @@ class Daemon {
 
   std::atomic<bool> stopping_{false};
 
-  // Rebuild lane: at most one queued job (reject-don't-queue, same
-  // admission philosophy as the probe path).
+  // Rebuild lane: at most one reload builds at a time, none queued
+  // (reject-don't-queue, the probe path's admission philosophy). An update
+  // holds rebuild_mu_ across its Apply so no reload publishes past it.
   std::mutex rebuild_mu_;
-  std::condition_variable rebuild_cv_;
-  std::shared_ptr<RebuildJob> pending_job_;   // waiting for the thread
-  bool rebuild_busy_ = false;                 // a job is being built
-  std::thread rebuild_thread_;
+  bool rebuild_busy_ = false;  // a reload is building
 
   // Per-connection record: fds + handler thread + a close/shutdown
   // handshake so Stop() can shutdown(2) sockets still blocked in read()

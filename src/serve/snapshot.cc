@@ -52,7 +52,7 @@ int64_t SnapshotRegistry::Publish(std::unique_ptr<EngineSnapshot> snapshot) {
             retire->retired_at_ns.load(std::memory_order_acquire);
         if (retired_at != 0) {
           const int64_t drain_ns = obs::NowNs() - retired_at;
-          if (obs::MetricsEnabled()) drain->Record(drain_ns);
+          drain->Record(drain_ns);
           obs::FlightRecord(obs::FlightEventKind::kEpochDrain, nullptr,
                             /*a=*/s->epoch, /*b=*/drain_ns);
         }

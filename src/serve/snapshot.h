@@ -21,8 +21,9 @@
 // reload (a wholesale world swap), never on update.
 //
 // Metrics: serve.epoch_swaps (counter), serve.epoch (gauge),
-// serve.snapshots_live (gauge), serve.swap_drain_ns (histogram, gated by
-// obs::MetricsEnabled() like every timed hook).
+// serve.snapshots_live (gauge), serve.swap_drain_ns (histogram, recorded
+// from the timestamp the deleter already takes for its kEpochDrain flight
+// event).
 
 #ifndef NWD_SERVE_SNAPSHOT_H_
 #define NWD_SERVE_SNAPSHOT_H_

@@ -142,6 +142,7 @@ TEST(Oracle, BudgetTripMidLevelStaysExact) {
     options.budget = &budget;
     const DistanceOracle oracle(g, 2, *strategy, options);
     if (!budget.Exceeded()) break;
+    EXPECT_TRUE(oracle.stats().budget_exhausted) << "cap=" << cap;
     // A complete root cover counts its bags, so the trip came after it.
     if (oracle.stats().total_bags > 0) tripped_in_bag_loop = true;
     for (Vertex a = 0; a < g.NumVertices(); ++a) {

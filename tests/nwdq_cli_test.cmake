@@ -352,11 +352,15 @@ if(NOT dump_out STREQUAL expected_dump)
     "expected:\n${expected_dump}\ngot:\n${dump_out}")
 endif()
 
-# The metrics export carries the compilation plane's counters: one program
-# compiled for this engine build, and live per-op execution counts.
+# The metrics export carries the compilation plane's counters (one program
+# compiled for this engine build, and the executor's probe count) and the
+# serial enumerator's delay histograms: the first output in its own, every
+# later printed output in enumerate.delay_ns.
 set(COMPILE_METRICS_JSON "${WORK_DIR}/compile_metrics.json")
 run(compile_metrics 0 "" "${PATH_GRAPH}" "(x, y) := dist(x, y) > 1 & C0(x)"
     --limit 5 --metrics-json "${COMPILE_METRICS_JSON}")
+string(REGEX MATCHALL "\\([0-9]+, [0-9]+\\)\n" printed_answers "${LAST_STDOUT}")
+list(LENGTH printed_answers printed_count)
 file(READ "${COMPILE_METRICS_JSON}" compile_metrics_doc)
 string(JSON compile_programs ERROR_VARIABLE json_err
        GET "${compile_metrics_doc}" counters compile.programs)
@@ -371,6 +375,27 @@ if(NOT json_err STREQUAL "NOTFOUND" OR compile_probes LESS_EQUAL 0)
   message(SEND_ERROR
     "compile_metrics: expected counters.compile.exec.probes > 0 "
     "(${json_err}), got '${compile_probes}'")
+endif()
+if(printed_count LESS 2)
+  message(SEND_ERROR
+    "compile_metrics: expected at least 2 printed answers:\n${LAST_STDOUT}")
+endif()
+string(JSON first_solution_count ERROR_VARIABLE json_err
+       GET "${compile_metrics_doc}" histograms enumerate.first_solution_ns count)
+if(NOT json_err STREQUAL "NOTFOUND" OR NOT first_solution_count STREQUAL "1")
+  message(SEND_ERROR
+    "compile_metrics: expected histograms.enumerate.first_solution_ns.count "
+    "= 1 (${json_err}), got '${first_solution_count}'")
+endif()
+math(EXPR expected_delays "${printed_count} - 1")
+string(JSON delay_count ERROR_VARIABLE json_err
+       GET "${compile_metrics_doc}" histograms enumerate.delay_ns count)
+if(NOT json_err STREQUAL "NOTFOUND" OR
+   NOT delay_count STREQUAL "${expected_delays}")
+  message(SEND_ERROR
+    "compile_metrics: expected histograms.enumerate.delay_ns.count = "
+    "${expected_delays} (printed answers - 1) (${json_err}), got "
+    "'${delay_count}'")
 endif()
 
 # A query whose only case folds dead (C0 never holds on the uncolored

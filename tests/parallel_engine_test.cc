@@ -185,7 +185,7 @@ TEST(BallCacheTest, CaseTwoAnsweringMatchesNaiveAndHitsCache) {
 }
 
 // Repair's extendable descents are not probes: they run on a private
-// context and the non-counting executor. An edge edit that makes Repair
+// context and count no probe. An edge edit that makes Repair
 // descend, with no probe sent, must leave every answer counter at zero —
 // no ball-cache traffic, no compiled probe — and answers stay exact.
 TEST(BallCacheTest, RepairDescentsStayOutOfAnswerCounters) {

@@ -840,6 +840,26 @@ TEST_F(DaemonTest, MetricsRequestDumpsRegistryJson) {
   ::close(fd);
 }
 
+TEST_F(DaemonTest, MetricsVerbCountsLiveEpochProbes) {
+  Start();
+  const int fd = Connect();
+  Client client(fd, fd, /*seed=*/43);
+  Response response;
+  const int64_t before = CounterValue("answer.probes_served");
+  constexpr int kProbes = 7;
+  for (int i = 0; i < kProbes; ++i) {
+    ASSERT_TRUE(client.Call("test 0," + std::to_string(i + 1), &response));
+    ASSERT_TRUE(response.ok) << response.head;
+  }
+  // The probes ran on the epoch that is still live; the scrape itself
+  // must publish them, not a later engine teardown.
+  ASSERT_TRUE(client.Call("metrics", &response));
+  ASSERT_TRUE(response.ok) << response.head;
+  EXPECT_GE(CounterValue("answer.probes_served"), before + kProbes);
+  EXPECT_NE(std::string::npos, response.body.find("answer.probes_served"));
+  ::close(fd);
+}
+
 TEST_F(DaemonTest, MetricsPromFormatRendersExposition) {
   Start();
   const int fd = Connect();
@@ -863,17 +883,14 @@ TEST_F(DaemonTest, MetricsPromFormatRendersExposition) {
 }
 
 TEST_F(DaemonTest, StatsReportHistogramQuantiles) {
+  // A default daemon records request latency.
   Start();
-  // Latency histograms record only while the metrics plane is on (the
-  // clock reads are the gated cost); quantiles need real samples.
-  obs::SetMetricsEnabled(true);
   const int fd = Connect();
   Client client(fd, fd, /*seed=*/41);
   Response response;
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(client.Call("test 0,1", &response));
   }
-  obs::SetMetricsEnabled(false);
   ASSERT_TRUE(client.Call("stats", &response));
   ASSERT_TRUE(response.ok) << response.head;
   // serve.request_ns has samples by now, so its p50/p99 must be real.

@@ -158,7 +158,6 @@ int main(int argc, char** argv) {
       options.dump_on_death = false;
     } else if (arg == "--metrics-json" && i + 1 < argc) {
       metrics_json = argv[++i];
-      nwd::obs::SetMetricsEnabled(true);
     } else if (arg == "--color" && i + 1 < argc) {
       const std::string binding = argv[++i];
       const size_t eq = binding.find('=');
@@ -190,26 +189,31 @@ int main(int argc, char** argv) {
     source = "file:" + source;
   }
 
-  nwd::serve::Daemon daemon(parsed.query, options);
-  std::string error;
-  if (!daemon.LoadInitialSnapshot(source, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "nwdd: serving '%s' over %s (epoch %lld)\n",
-               nwd::fo::ToString(parsed.query).c_str(), source.c_str(),
-               static_cast<long long>(daemon.registry().current_epoch()));
-
-  if (tcp_port >= 0) {
-    if (!daemon.ListenTcp(static_cast<int>(tcp_port), &error)) {
+  {
+    // Scoped so the daemon is gone before --metrics-json is written: its
+    // engines drain their answer-time counters into the registry as they
+    // are destroyed.
+    nwd::serve::Daemon daemon(parsed.query, options);
+    std::string error;
+    if (!daemon.LoadInitialSnapshot(source, &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
-    std::fprintf(stderr, "nwdd: listening on 127.0.0.1:%d\n",
-                 daemon.tcp_port());
-    daemon.WaitUntilStopped();
-  } else {
-    daemon.ServeBlocking(/*read_fd=*/0, /*write_fd=*/1);
+    std::fprintf(stderr, "nwdd: serving '%s' over %s (epoch %lld)\n",
+                 nwd::fo::ToString(parsed.query).c_str(), source.c_str(),
+                 static_cast<long long>(daemon.registry().current_epoch()));
+
+    if (tcp_port >= 0) {
+      if (!daemon.ListenTcp(static_cast<int>(tcp_port), &error)) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        return 1;
+      }
+      std::fprintf(stderr, "nwdd: listening on 127.0.0.1:%d\n",
+                   daemon.tcp_port());
+      daemon.WaitUntilStopped();
+    } else {
+      daemon.ServeBlocking(/*read_fd=*/0, /*write_fd=*/1);
+    }
   }
 
   if (metrics_json != nullptr) {
