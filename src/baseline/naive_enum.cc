@@ -12,6 +12,12 @@ BacktrackingEnumerator::BacktrackingEnumerator(const ColoredGraph& g,
                                                const fo::Query& query)
     : graph_(&g), query_(query), eval_(g), scratch_(g.NumVertices()) {}
 
+void BacktrackingEnumerator::Rebind(const ColoredGraph& g) {
+  graph_ = &g;
+  eval_.Rebind(g);
+  scratch_.EnsureCapacity(g.NumVertices());
+}
+
 int BacktrackingEnumerator::Partial(const fo::FormulaPtr& f,
                                     std::vector<Vertex>* env) {
   using fo::NodeKind;

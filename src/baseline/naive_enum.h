@@ -28,6 +28,11 @@ class BacktrackingEnumerator {
  public:
   BacktrackingEnumerator(const ColoredGraph& g, const fo::Query& query);
 
+  // Borrows `g` instead, keeping the query and the BFS scratch (grown if
+  // `g` is larger): DynamicEngine's lag lane reuses one search across the
+  // graph versions it pins.
+  void Rebind(const ColoredGraph& g);
+
   // All solutions in lexicographic order.
   std::vector<Tuple> AllSolutions();
 
@@ -70,12 +75,11 @@ class BacktrackingEnumerator {
 //   * the sorted solution set (preprocessing Step 1 on small graphs, and
 //     sentences, unary and unsupported queries), or
 //   * one lazy BacktrackingEnumerator over a borrowed graph (budget-tripped
-//     engines, budgeted graphs too big to materialize, and DynamicEngine's
-//     lag lane while a repair runs).
+//     engines and budgeted graphs too big to materialize).
 // Thread-safe: the set is read-only, and the search keeps BFS scratch, so
-// lazy answers serialize behind one mutex. The search derives nothing
-// from the graph's edges or colors ahead of a call, so the caller may
-// mutate the graph in place between calls.
+// a budget-tripped engine's lazy answers serialize behind one mutex. The
+// borrowed graph never changes while this object lives. (DynamicEngine's
+// lag lane keeps its own searches, one per concurrent caller.)
 class BaselineAnswers {
  public:
   explicit BaselineAnswers(std::vector<Tuple> sorted_solutions);

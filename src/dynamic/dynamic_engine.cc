@@ -57,19 +57,20 @@ DynamicEngine::DynamicEngine(ColoredGraph graph, fo::Query query,
                              EngineOptions options)
     : query_(std::move(query)),
       options_(options),
-      serving_graph_(std::move(graph)),
-      engine_graph_(serving_graph_),
-      lag_(serving_graph_, query_) {
-  num_vertices_ = serving_graph_.NumVertices();
-  num_colors_ = serving_graph_.NumColors();
+      num_vertices_(graph.NumVertices()),
+      num_colors_(graph.NumColors()),
+      serving_graph_(std::make_shared<const ColoredGraph>(std::move(graph))),
+      engine_graph_(*serving_graph_) {
   engine_ = std::make_unique<EnumerationEngine>(engine_graph_, query_,
                                                 options_);
+  engine_stats_ = engine_->stats();
+  degraded_.store(engine_stats_.degraded);
   repair_thread_ = std::thread(&DynamicEngine::RepairThreadBody, this);
 }
 
 DynamicEngine::~DynamicEngine() {
   {
-    std::unique_lock<std::shared_mutex> lock(state_mu_);
+    std::unique_lock<WriterFirstMutex> lock(state_mu_);
     stop_ = true;
   }
   work_cv_.notify_all();
@@ -78,29 +79,37 @@ DynamicEngine::~DynamicEngine() {
 
 int64_t DynamicEngine::Apply(std::span<const GraphEdit> edits) {
   obs::ScopedSpan span("dynamic/apply");
-  int64_t applied = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(state_mu_);
-    for (const GraphEdit& e : edits) {
-      NWD_CHECK(e.u >= 0 && e.u < num_vertices_) << "edit vertex out of range";
-      if (e.kind != GraphEdit::Kind::kSetColor) {
-        NWD_CHECK(e.v >= 0 && e.v < num_vertices_)
-            << "edit vertex out of range";
-      } else {
-        NWD_CHECK(e.color >= 0 && e.color < num_colors_)
-            << "edit color out of range";
-      }
-      if (serving_graph_.ApplyInPlace(e)) {
-        pending_.push_back(e);
-        ++applied;
-      }
+  for (const GraphEdit& e : edits) {
+    NWD_CHECK(e.u >= 0 && e.u < num_vertices_) << "edit vertex out of range";
+    if (e.kind != GraphEdit::Kind::kSetColor) {
+      NWD_CHECK(e.v >= 0 && e.v < num_vertices_) << "edit vertex out of range";
+    } else {
+      NWD_CHECK(e.color >= 0 && e.color < num_colors_)
+          << "edit color out of range";
     }
+  }
+  // Copy-on-write: the O(n + m) copy and its edits run outside state_mu_,
+  // so probes keep answering from the current version meanwhile.
+  std::lock_guard<std::mutex> apply_lock(apply_mu_);
+  auto next = std::make_shared<ColoredGraph>(*serving_graph_);
+  std::vector<GraphEdit> changed;
+  for (const GraphEdit& e : edits) {
+    if (next->ApplyInPlace(e)) changed.push_back(e);
+  }
+  const int64_t applied = static_cast<int64_t>(changed.size());
+  const int64_t noop = static_cast<int64_t>(edits.size()) - applied;
+  Instruments().edits_applied->Add(applied);
+  Instruments().edits_noop->Add(noop);
+  // The replaced version is freed after state_mu_ drops (or by the last
+  // probe still pinning it).
+  std::shared_ptr<const ColoredGraph> replaced;
+  {
+    std::unique_lock<WriterFirstMutex> lock(state_mu_);
     stats_.edits_applied += applied;
-    stats_.edits_noop += static_cast<int64_t>(edits.size()) - applied;
-    Instruments().edits_applied->Add(applied);
-    Instruments().edits_noop->Add(static_cast<int64_t>(edits.size()) -
-                                  applied);
+    stats_.edits_noop += noop;
     if (applied == 0) return applied;
+    replaced = std::exchange(serving_graph_, std::move(next));
+    pending_.insert(pending_.end(), changed.begin(), changed.end());
     in_sync_ = false;
     // Attribute the eventual background sync to the request that queued
     // it (coalesced batches credit the newest requester).
@@ -119,6 +128,7 @@ void DynamicEngine::SyncBatch(std::vector<GraphEdit> batch,
   obs::RequestScope rid_scope(origin_rid);
   obs::ScopedSpan span("dynamic/sync");
   EnumerationEngine::RepairStats repair_stats;
+  EnumerationEngine::Stats fresh_stats;
   bool repaired;
   {
     std::lock_guard<std::mutex> engine_lock(engine_mu_);
@@ -132,6 +142,7 @@ void DynamicEngine::SyncBatch(std::vector<GraphEdit> batch,
       engine_ = std::make_unique<EnumerationEngine>(engine_graph_, query_,
                                                     options_);
     }
+    fresh_stats = engine_->stats();
   }
   const double sync_ms = span.End();
   DynamicInstruments& m = Instruments();
@@ -149,7 +160,12 @@ void DynamicEngine::SyncBatch(std::vector<GraphEdit> batch,
     m.repair_rebuilds->Increment();
   }
 
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  {
+    std::lock_guard<std::mutex> stats_lock(engine_stats_mu_);
+    engine_stats_ = std::move(fresh_stats);
+    degraded_.store(engine_stats_.degraded);
+  }
+  std::unique_lock<WriterFirstMutex> lock(state_mu_);
   ++stats_.batches;
   if (repaired) {
     ++stats_.repairs;
@@ -166,7 +182,7 @@ void DynamicEngine::SyncBatch(std::vector<GraphEdit> batch,
 }
 
 void DynamicEngine::RepairThreadBody() {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  std::unique_lock<WriterFirstMutex> lock(state_mu_);
   for (;;) {
     work_cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
     if (pending_.empty()) {
@@ -183,28 +199,63 @@ void DynamicEngine::RepairThreadBody() {
   }
 }
 
-std::optional<Tuple> DynamicEngine::Next(const Tuple& from) const {
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
-  if (in_sync_) {
-    engine_probes_.fetch_add(1, std::memory_order_relaxed);
-    return engine_->Next(from);  // the engine checks the probe
-  }
-  CheckProbe(from, arity(), num_vertices_);
+std::unique_ptr<BacktrackingEnumerator> DynamicEngine::TakeLagSearch(
+    const ColoredGraph& pinned, const Tuple& probe) const {
+  CheckProbe(probe, arity(), num_vertices_);
   lazy_probes_.fetch_add(1, std::memory_order_relaxed);
   Instruments().lazy_probes->Increment();
-  return lag_.Next(from);
+  std::unique_ptr<BacktrackingEnumerator> search;
+  {
+    std::lock_guard<std::mutex> lock(lag_free_mu_);
+    if (!lag_free_.empty()) {
+      search = std::move(lag_free_.back());
+      lag_free_.pop_back();
+    }
+  }
+  if (search == nullptr) {
+    return std::make_unique<BacktrackingEnumerator>(pinned, query_);
+  }
+  search->Rebind(pinned);
+  return search;
+}
+
+void DynamicEngine::ReturnLagSearch(
+    std::unique_ptr<BacktrackingEnumerator> search) const {
+  std::lock_guard<std::mutex> lock(lag_free_mu_);
+  lag_free_.push_back(std::move(search));
+}
+
+std::optional<Tuple> DynamicEngine::Next(const Tuple& from) const {
+  std::shared_ptr<const ColoredGraph> pinned;
+  {
+    std::shared_lock<WriterFirstMutex> lock(state_mu_);
+    if (in_sync_) {
+      engine_probes_.fetch_add(1, std::memory_order_relaxed);
+      return engine_->Next(from);  // the engine checks the probe
+    }
+    pinned = serving_graph_;
+  }
+  std::unique_ptr<BacktrackingEnumerator> search = TakeLagSearch(*pinned, from);
+  std::optional<Tuple> out = search->Next(from);
+  ReturnLagSearch(std::move(search));
+  return out;
 }
 
 bool DynamicEngine::Test(const Tuple& tuple) const {
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
-  if (in_sync_) {
-    engine_probes_.fetch_add(1, std::memory_order_relaxed);
-    return engine_->Test(tuple);  // the engine checks the probe
+  std::shared_ptr<const ColoredGraph> pinned;
+  {
+    std::shared_lock<WriterFirstMutex> lock(state_mu_);
+    if (in_sync_) {
+      engine_probes_.fetch_add(1, std::memory_order_relaxed);
+      return engine_->Test(tuple);  // the engine checks the probe
+    }
+    pinned = serving_graph_;
   }
-  CheckProbe(tuple, arity(), num_vertices_);
-  lazy_probes_.fetch_add(1, std::memory_order_relaxed);
-  Instruments().lazy_probes->Increment();
-  return lag_.Test(tuple);
+  std::unique_ptr<BacktrackingEnumerator> search =
+      TakeLagSearch(*pinned, tuple);
+  const bool out = search->Test(tuple);
+  ReturnLagSearch(std::move(search));
+  return out;
 }
 
 std::optional<Tuple> DynamicEngine::First() const {
@@ -216,17 +267,17 @@ std::optional<Tuple> DynamicEngine::First() const {
 }
 
 bool DynamicEngine::in_sync() const {
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  std::shared_lock<WriterFirstMutex> lock(state_mu_);
   return in_sync_;
 }
 
 void DynamicEngine::WaitForSync() const {
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  std::shared_lock<WriterFirstMutex> lock(state_mu_);
   sync_cv_.wait(lock, [&] { return in_sync_; });
 }
 
 DynamicEngine::UpdateStats DynamicEngine::stats() const {
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  std::shared_lock<WriterFirstMutex> lock(state_mu_);
   UpdateStats out = stats_;
   out.in_sync = in_sync_;
   out.engine_probes = engine_probes_.load(std::memory_order_relaxed);
@@ -235,8 +286,8 @@ DynamicEngine::UpdateStats DynamicEngine::stats() const {
 }
 
 EnumerationEngine::Stats DynamicEngine::engine_stats() const {
-  std::lock_guard<std::mutex> engine_lock(engine_mu_);
-  return engine_->stats();
+  std::lock_guard<std::mutex> stats_lock(engine_stats_mu_);
+  return engine_stats_;
 }
 
 AnswerCounters DynamicEngine::DrainAnswerStats() const {

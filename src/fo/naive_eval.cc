@@ -11,6 +11,11 @@ namespace fo {
 NaiveEvaluator::NaiveEvaluator(const ColoredGraph& graph)
     : graph_(&graph), scratch_(graph.NumVertices()) {}
 
+void NaiveEvaluator::Rebind(const ColoredGraph& graph) {
+  graph_ = &graph;
+  scratch_.EnsureCapacity(graph.NumVertices());
+}
+
 bool NaiveEvaluator::EvalDist(Vertex u, Vertex v, int64_t bound) {
   if (u == v) return true;
   // Bounded BFS from u; BfsScratch keeps this O(|N_bound(u)|).

@@ -27,6 +27,10 @@ class NaiveEvaluator {
   // The evaluator borrows `graph`; it must outlive the evaluator.
   explicit NaiveEvaluator(const ColoredGraph& graph);
 
+  // Borrows `graph` instead, keeping the BFS scratch (grown if `graph` is
+  // larger), so one evaluator can serve successive graph versions.
+  void Rebind(const ColoredGraph& graph);
+
   // Evaluates f under `env` (modified in place during quantification but
   // restored before returning).
   bool Evaluate(const FormulaPtr& f, std::vector<Vertex>* env);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "graph/bfs.h"
 #include "graph/builder.h"
+#include "util/budget.h"
 #include "util/check.h"
 
 namespace nwd {
@@ -14,16 +16,26 @@ Vertex SubgraphView::ToLocal(Vertex global) const {
   return static_cast<Vertex>(it - to_global.begin());
 }
 
-SubgraphView InduceSubgraph(const ColoredGraph& g,
-                            std::span<const Vertex> vertices) {
+namespace {
+
+// G[vertices]; std::nullopt once a non-null `budget` trips (see
+// InduceSubgraphExcluding).
+std::optional<SubgraphView> Induce(const ColoredGraph& g,
+                                   std::span<const Vertex> vertices,
+                                   const ResourceBudget* budget) {
   NWD_DCHECK(std::is_sorted(vertices.begin(), vertices.end()));
   SubgraphView view;
   view.to_global.assign(vertices.begin(), vertices.end());
 
   GraphBuilder builder(static_cast<int64_t>(vertices.size()), g.NumColors());
+  int64_t pending = 0;  // scanned arcs not yet charged
   for (size_t local = 0; local < vertices.size(); ++local) {
     const Vertex global = vertices[local];
     for (Vertex u : g.Neighbors(global)) {
+      if (budget != nullptr && ++pending == BfsScratch::kChargeChunk) {
+        pending = 0;
+        if (!budget->ChargeWork(BfsScratch::kChargeChunk)) return std::nullopt;
+      }
       if (u <= global) continue;  // each edge once
       const Vertex u_local = view.ToLocal(u);
       if (u_local >= 0) builder.AddEdge(static_cast<Vertex>(local), u_local);
@@ -32,19 +44,29 @@ SubgraphView InduceSubgraph(const ColoredGraph& g,
       if (g.HasColor(global, c)) builder.SetColor(static_cast<Vertex>(local), c);
     }
   }
+  if (budget != nullptr && pending > 0 && !budget->ChargeWork(pending)) {
+    return std::nullopt;
+  }
   view.graph = std::move(builder).Build();
   return view;
 }
 
-SubgraphView InduceSubgraphExcluding(const ColoredGraph& g,
-                                     std::span<const Vertex> vertices,
-                                     Vertex excluded) {
+}  // namespace
+
+SubgraphView InduceSubgraph(const ColoredGraph& g,
+                            std::span<const Vertex> vertices) {
+  return *Induce(g, vertices, /*budget=*/nullptr);
+}
+
+std::optional<SubgraphView> InduceSubgraphExcluding(
+    const ColoredGraph& g, std::span<const Vertex> vertices, Vertex excluded,
+    const ResourceBudget* budget) {
   std::vector<Vertex> remaining;
   remaining.reserve(vertices.size());
   for (Vertex v : vertices) {
     if (v != excluded) remaining.push_back(v);
   }
-  return InduceSubgraph(g, std::span<const Vertex>(remaining));
+  return Induce(g, std::span<const Vertex>(remaining), budget);
 }
 
 }  // namespace nwd

@@ -12,12 +12,15 @@
 #define NWD_GRAPH_SUBGRAPH_H_
 
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "graph/colored_graph.h"
 
 namespace nwd {
+
+class ResourceBudget;
 
 // An induced subgraph with order-preserving id translation.
 struct SubgraphView {
@@ -36,11 +39,14 @@ struct SubgraphView {
 SubgraphView InduceSubgraph(const ColoredGraph& g,
                             std::span<const Vertex> vertices);
 
-// Convenience: induce on `vertices` minus one excluded vertex (used for
-// bags after a Splitter move: G[X \ {s_X}]).
-SubgraphView InduceSubgraphExcluding(const ColoredGraph& g,
-                                     std::span<const Vertex> vertices,
-                                     Vertex excluded);
+// Induces on `vertices` minus one excluded vertex (used for bags after a
+// Splitter move: G[X \ {s_X}]). With a non-null `budget`, every scanned
+// arc is one work unit, charged in BfsScratch::kChargeChunk batches; once
+// the budget trips this returns std::nullopt without building the
+// subgraph.
+std::optional<SubgraphView> InduceSubgraphExcluding(
+    const ColoredGraph& g, std::span<const Vertex> vertices, Vertex excluded,
+    const ResourceBudget* budget);
 
 // Braced-list conveniences (a span cannot bind to {a, b, c} directly).
 inline SubgraphView InduceSubgraph(const ColoredGraph& g,
@@ -52,9 +58,9 @@ inline SubgraphView InduceSubgraph(const ColoredGraph& g,
 inline SubgraphView InduceSubgraphExcluding(
     const ColoredGraph& g, std::initializer_list<Vertex> vertices,
     Vertex excluded) {
-  return InduceSubgraphExcluding(
+  return *InduceSubgraphExcluding(
       g, std::span<const Vertex>(vertices.begin(), vertices.size()),
-      excluded);
+      excluded, /*budget=*/nullptr);
 }
 
 }  // namespace nwd

@@ -1,6 +1,7 @@
 #include "local/distance_oracle.h"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 
 #include "graph/bfs.h"
@@ -11,11 +12,21 @@ namespace nwd {
 namespace {
 
 // BFS inside the induced subgraph G[members] from `source`, bounded by
-// `radius`. Returns distances aligned with `members` (kFar if further).
-// `members` must be sorted.
-std::vector<int16_t> RestrictedBfs(const ColoredGraph& g,
-                                   std::span<const Vertex> members,
-                                   Vertex source, int radius, int16_t far) {
+// `radius`. Returns distances aligned with `members` (kFar if further),
+// or std::nullopt once a non-null `budget` trips: every dequeued vertex
+// and scanned arc is one work unit, charged in BfsScratch::kChargeChunk
+// batches. `members` must be sorted.
+std::optional<std::vector<int16_t>> RestrictedBfs(
+    const ColoredGraph& g, std::span<const Vertex> members, Vertex source,
+    int radius, int16_t far, const ResourceBudget* budget) {
+  int64_t pending = 0;  // work units not yet charged
+  const auto charge = [&pending, budget] {  // false once tripped
+    if (budget == nullptr || ++pending < BfsScratch::kChargeChunk) {
+      return true;
+    }
+    pending = 0;
+    return budget->ChargeWork(BfsScratch::kChargeChunk);
+  };
   std::vector<int16_t> dist(members.size(), far);
   const auto index_of = [&members](Vertex v) -> int64_t {
     const auto it = std::lower_bound(members.begin(), members.end(), v);
@@ -27,15 +38,20 @@ std::vector<int16_t> RestrictedBfs(const ColoredGraph& g,
   dist[source_index] = 0;
   std::vector<Vertex> queue{source};
   for (size_t head = 0; head < queue.size(); ++head) {
+    if (!charge()) return std::nullopt;
     const Vertex v = queue[head];
     const int16_t dv = dist[index_of(v)];
     if (dv >= radius) continue;
     for (Vertex u : g.Neighbors(v)) {
+      if (!charge()) return std::nullopt;
       const int64_t ui = index_of(u);
       if (ui < 0 || dist[ui] != far) continue;
       dist[ui] = static_cast<int16_t>(dv + 1);
       queue.push_back(u);
     }
+  }
+  if (budget != nullptr && pending > 0 && !budget->ChargeWork(pending)) {
+    return std::nullopt;
   }
   return dist;
 }
@@ -90,15 +106,18 @@ std::unique_ptr<DistanceOracle::Level> DistanceOracle::BuildLevel(
   stats_.total_bags += level->cover.NumBags();
   stats_.cover_degree = std::max(stats_.cover_degree, level->cover.Degree());
   level->bags.resize(static_cast<size_t>(level->cover.NumBags()));
+  // Tripped mid-level, between bags or inside one bag's BFS or induced
+  // subgraph: answer this level by BFS as a leaf instead of finishing it.
+  const auto leaf_after_trip = [&] {
+    stats_.budget_exhausted = true;
+    level->bags.clear();
+    level->leaf = true;
+    return std::move(level);
+  };
 
   for (int64_t b = 0; b < level->cover.NumBags(); ++b) {
     if (options_.budget != nullptr && options_.budget->Exceeded()) {
-      // Tripped mid-level: answer this level by BFS as a leaf instead of
-      // finishing the rest of its bags.
-      stats_.budget_exhausted = true;
-      level->bags.clear();
-      level->leaf = true;
-      return level;
+      return leaf_after_trip();
     }
     const std::span<const Vertex> members = level->cover.Bag(b);
     Bag& bag = level->bags[static_cast<size_t>(b)];
@@ -118,12 +137,16 @@ std::unique_ptr<DistanceOracle::Level> DistanceOracle::BuildLevel(
 
     // Distances to s_X within G[X] (the R_i colors of preprocessing
     // Step 4, kept as exact values).
-    bag.dist_to_splitter =
-        RestrictedBfs(level->graph, members, bag.splitter, radius_, kFar);
+    std::optional<std::vector<int16_t>> dist_to_splitter = RestrictedBfs(
+        level->graph, members, bag.splitter, radius_, kFar, options_.budget);
+    if (!dist_to_splitter.has_value()) return leaf_after_trip();
+    bag.dist_to_splitter = std::move(*dist_to_splitter);
 
     // Recursive structure on X' = X \ {s_X}.
-    SubgraphView view =
-        InduceSubgraphExcluding(level->graph, members, bag.splitter);
+    std::optional<SubgraphView> induced = InduceSubgraphExcluding(
+        level->graph, members, bag.splitter, options_.budget);
+    if (!induced.has_value()) return leaf_after_trip();
+    SubgraphView& view = *induced;
     bag.child_local.resize(members.size());
     int64_t next_local = 0;
     for (size_t i = 0; i < members.size(); ++i) {

@@ -428,7 +428,7 @@ bool Daemon::HandleProbe(FdStream* stream, const Request& request) {
     metrics.internal_errors->Increment();
     return SendError(stream, ErrorCode::kInternal, "injected answer fault");
   }
-  if (engine.engine_stats().degraded) metrics.degraded->Increment();
+  if (engine.degraded()) metrics.degraded->Increment();
   std::string reply;
   if (request.op == RequestOp::kTest) {
     reply = std::string("ok test ") + (engine.Test(request.tuple) ? "1" : "0");
@@ -467,7 +467,7 @@ bool Daemon::HandleEnumerate(FdStream* stream, const Request& request) {
   }
   const Deadline deadline = Deadline::Resolve(
       request.deadline_ms, options_.default_deadline_ms, obs::NowNs());
-  if (engine.engine_stats().degraded) metrics.degraded->Increment();
+  if (engine.degraded()) metrics.degraded->Increment();
 
   const std::string epoch_token = " epoch=" + std::to_string(snapshot->epoch);
   int64_t count = 0;
@@ -550,7 +550,7 @@ bool Daemon::HandleReload(FdStream* stream, const Request& request) {
   bool degraded = false;
   int64_t epoch = 0;
   if (ok) {
-    degraded = snapshot->dynamic->engine_stats().degraded;
+    degraded = snapshot->dynamic->degraded();
     epoch = registry_.Publish(std::move(snapshot));
   }
   const double prep_ms = static_cast<double>(obs::NowNs() - started_ns) / 1e6;
@@ -665,7 +665,7 @@ bool Daemon::HandleStats(FdStream* stream) {
     const DynamicEngine::UpdateStats update_stats = snapshot->dynamic->stats();
     reply += " n=" + std::to_string(snapshot->dynamic->NumVertices());
     reply += std::string(" degraded=") +
-             (snapshot->dynamic->engine_stats().degraded ? "1" : "0");
+             (snapshot->dynamic->degraded() ? "1" : "0");
     reply += " edits=" + std::to_string(update_stats.edits_applied);
     reply += std::string(" insync=") + (update_stats.in_sync ? "1" : "0");
     reply += " source=" + snapshot->source;

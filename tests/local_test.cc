@@ -160,6 +160,48 @@ TEST(Oracle, BudgetTripMidLevelStaysExact) {
       << "no cap tripped after the root cover completed";
 }
 
+// A trip inside one bag's splitter BFS or induced subgraph is seen within
+// one BfsScratch::kChargeChunk batch, and the level becomes a BFS leaf
+// before the bag's child level is built. On a clique the root cover has
+// one bag holding every vertex: its BFS charges n^2 units (n dequeues plus
+// n(n - 1) arcs), then the induction (n - 1)^2 arcs. The two caps land
+// the trip in each of them.
+TEST(Oracle, BudgetTripInsideOneBagStopsWithinAChunk) {
+  constexpr int64_t n = 512;
+  Rng rng(80);
+  const ColoredGraph g = gen::Clique(n, {0, 0.0}, &rng);
+  const auto strategy = MakeAutoStrategy(g);
+  // Work charged before the bag loop: the root level's vertices, then its
+  // cover.
+  const ResourceBudget unlimited;
+  ASSERT_TRUE(NeighborhoodCover::Build(g, 2, &unlimited).complete());
+  ASSERT_EQ(1, NeighborhoodCover::Build(g, 2).NumBags());
+  const int64_t before_bags = n + unlimited.work_charged();
+  for (const int64_t into_bag : {int64_t{64}, n * n + 1000}) {
+    ResourceBudgetOptions limits;
+    limits.max_edge_work = before_bags + into_bag;
+    const ResourceBudget budget(limits);
+    DistanceOracle::Options options;
+    options.budget = &budget;
+    const DistanceOracle oracle(g, 2, *strategy, options);
+    ASSERT_TRUE(budget.Exceeded()) << "into_bag=" << into_bag;
+    EXPECT_TRUE(oracle.stats().budget_exhausted) << "into_bag=" << into_bag;
+    EXPECT_EQ(1, oracle.stats().total_bags) << "into_bag=" << into_bag;
+    EXPECT_EQ(1, oracle.stats().levels)
+        << "the bag's child level was built after the trip (into_bag="
+        << into_bag << ")";
+    EXPECT_LE(budget.work_charged(),
+              limits.max_edge_work + BfsScratch::kChargeChunk)
+        << "into_bag=" << into_bag;
+    for (int trial = 0; trial < 64; ++trial) {
+      const Vertex a = static_cast<Vertex>(rng.NextBounded(n));
+      const Vertex b = static_cast<Vertex>(rng.NextBounded(n));
+      EXPECT_TRUE(oracle.WithinDistance(a, b, 1));
+      EXPECT_EQ(a == b, oracle.WithinDistance(a, b, 0));
+    }
+  }
+}
+
 TEST(Oracle, SymmetricAnswers) {
   Rng rng(78);
   const ColoredGraph g = gen::RandomTree(200, 0, {0, 0.0}, &rng);

@@ -5,13 +5,19 @@
 // tree / bounded-degree / grid inputs, thread counts 1-8,
 // budget-tripped (degraded) engines where Repair must decline, and the
 // repair lane's lag, where probes issued while the engine catches up are
-// answered through the lazy baseline. TSan / ASan twins run the same
-// streams under the sanitizers.
+// answered through the lazy baseline. Two concurrent tests race readers
+// against a writer: every answer must hold for a graph version live
+// during the probe, and saturating readers must not stall the repair
+// lane. TSan / ASan twins run the same streams under the sanitizers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "dynamic/dynamic_engine.h"
@@ -459,6 +465,205 @@ TEST(UpdatePropertyTest, AsyncProbesDuringRepairAreCorrect) {
     EXPECT_GT(stats.edits_applied, 0);
     EXPECT_GT(stats.batches, 0);
   }
+}
+
+// The version contract under concurrency: reader threads race a
+// writer's Apply stream, and each answer must be the naive evaluator's
+// answer on a graph version that was the newest applied at some point
+// during the probe. The writer keeps every version and bumps `applied`
+// after each Apply returns, so a probe that read `before` at its start and
+// `after` at its end may answer for any version in [before, after + 1].
+// Every other edit is waited into sync, so both the in-sync engine and
+// the unlocked lag lane answer.
+TEST(UpdatePropertyTest, ConcurrentProbesAnswerForALiveVersion) {
+  constexpr int kReaders = 3;
+  constexpr int kEdits = 24;
+  constexpr size_t kMaxRecords = 1500;  // per reader
+  struct Record {
+    bool is_test;
+    Tuple probe;
+    bool bit;
+    std::optional<Tuple> next;
+    int before;
+    int after;
+  };
+  for (int kind = 0; kind < 3; ++kind) {
+    Rng rng(static_cast<uint64_t>(301 + kind));
+    std::vector<ColoredGraph> versions = {RandomGraph(kind, 100, &rng)};
+    const fo::Query query = RandomQuery(2, versions[0].NumColors(), &rng);
+    const int64_t n = versions[0].NumVertices();
+    DynamicEngine dynamic(versions[0], query);
+
+    std::atomic<int> applied{0};
+    std::atomic<int> started{0};
+    std::atomic<bool> done{false};
+    std::vector<std::vector<Record>> records(kReaders);
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        Rng reader_rng(static_cast<uint64_t>(1000 * kind + r));
+        std::vector<Record>& out = records[static_cast<size_t>(r)];
+        started.fetch_add(1);
+        do {
+          Record rec;
+          rec.is_test = reader_rng.NextBool(0.5);
+          rec.probe = RandomTuple(2, n, &reader_rng);
+          rec.before = applied.load();
+          if (rec.is_test) {
+            rec.bit = dynamic.Test(rec.probe);
+          } else {
+            rec.next = dynamic.Next(rec.probe);
+          }
+          rec.after = applied.load();
+          out.push_back(std::move(rec));
+        } while (!done.load() && out.size() < kMaxRecords);
+      });
+    }
+    while (started.load() < kReaders) std::this_thread::yield();
+    for (int i = 1; i <= kEdits; ++i) {
+      ColoredGraph next = versions.back();
+      GraphEdit edit = RandomEdit(next, &rng);
+      while (!next.ApplyInPlace(edit)) edit = RandomEdit(next, &rng);
+      versions.push_back(std::move(next));
+      EXPECT_EQ(1, dynamic.Apply(std::span<const GraphEdit>(&edit, 1)));
+      applied.store(i);
+      if (i % 2 == 0) dynamic.WaitForSync();
+    }
+    done.store(true);
+    for (std::thread& t : readers) t.join();
+
+    std::vector<std::vector<Tuple>> solutions;
+    for (const ColoredGraph& g : versions) {
+      fo::NaiveEvaluator naive(g);
+      solutions.push_back(naive.AllSolutions(query));
+    }
+    const int newest = static_cast<int>(versions.size()) - 1;
+    for (const std::vector<Record>& reader_records : records) {
+      for (const Record& rec : reader_records) {
+        bool matched = false;
+        for (int v = rec.before; v <= std::min(rec.after + 1, newest) &&
+                                 !matched;
+             ++v) {
+          const std::vector<Tuple>& sols = solutions[static_cast<size_t>(v)];
+          if (rec.is_test) {
+            matched = rec.bit ==
+                      std::binary_search(sols.begin(), sols.end(), rec.probe);
+          } else {
+            const auto it =
+                std::lower_bound(sols.begin(), sols.end(), rec.probe);
+            const std::optional<Tuple> truth =
+                it == sols.end() ? std::nullopt : std::make_optional(*it);
+            matched = rec.next == truth;
+          }
+        }
+        ASSERT_TRUE(matched)
+            << "kind=" << kind << (rec.is_test ? " Test" : " Next")
+            << " answered for no version in [" << rec.before << ", "
+            << rec.after + 1 << "]";
+      }
+    }
+    dynamic.WaitForSync();
+    EXPECT_EQ(solutions.back(), AllAnswers(dynamic, n)) << "kind=" << kind;
+  }
+}
+
+// Liveness of the repair lane (Theorem 2.3's constant-time probes hold
+// only in sync): three readers call Test / Next back to back while the
+// main thread toggles single edges, each Apply followed by WaitForSync.
+// The median sync under readers must stay within kMaxSlowdown of the
+// median with no readers, plus kWakeupSlackMs: an idle sync takes ~0.1 ms
+// in an optimized build, and when parallel test jobs oversubscribe the
+// cores, waking the repair lane and the waiter alone can take ms. A
+// lag-lane probe that held the state lock for its whole search would keep
+// the end-of-sync flip from ever getting the lock exclusively; the
+// readers stop on their own at the deadline, so a starved lane fails the
+// test instead of hanging it.
+TEST(UpdatePropertyTest, RepairLaneKeepsPaceWithSaturatingReaders) {
+  constexpr int kSyncs = 40;
+  constexpr double kMaxSlowdown = 8.0;
+  constexpr double kWakeupSlackMs = 25.0;
+  constexpr auto kReaderDeadline = std::chrono::seconds(30);
+  fo::ParseResult parsed = fo::ParseFormula("dist(x, y) <= 2 & C0(y)");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  Rng rng(401);
+  const ColoredGraph grid = gen::Grid(64, 64, {2, 0.35}, &rng);
+  const int64_t n = grid.NumVertices();
+  DynamicEngine dynamic(grid, parsed.query);
+
+  // Diagonal chords of one grid square; each round toggles every site
+  // once, and the next round toggles them back.
+  std::vector<GraphEdit> chords;
+  for (int i = 0; i < kSyncs; ++i) {
+    const Vertex row = static_cast<Vertex>(rng.NextBounded(63));
+    const Vertex col = static_cast<Vertex>(rng.NextBounded(63));
+    chords.push_back(
+        GraphEdit::AddEdge(row * 64 + col, (row + 1) * 64 + col + 1));
+  }
+  ColoredGraph mirror = grid;
+  const auto median_sync_ms = [&](const std::atomic<bool>* readers_live,
+                                  int* completed) {
+    std::vector<double> ms;
+    for (const GraphEdit& chord : chords) {
+      if (readers_live != nullptr && !readers_live->load()) break;
+      const GraphEdit edit = mirror.HasEdge(chord.u, chord.v)
+                                 ? GraphEdit::RemoveEdge(chord.u, chord.v)
+                                 : chord;
+      mirror.ApplyInPlace(edit);
+      const auto start = std::chrono::steady_clock::now();
+      dynamic.Apply(std::span<const GraphEdit>(&edit, 1));
+      dynamic.WaitForSync();
+      ms.push_back(std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+    }
+    *completed = static_cast<int>(ms.size());
+    if (ms.empty()) return 0.0;
+    std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+    return ms[ms.size() / 2];
+  };
+
+  int idle_syncs = 0;
+  const double idle_ms = median_sync_ms(nullptr, &idle_syncs);
+  ASSERT_EQ(kSyncs, idle_syncs);
+
+  std::atomic<bool> readers_live{true};
+  const auto deadline = std::chrono::steady_clock::now() + kReaderDeadline;
+  std::atomic<int64_t> probes{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng reader_rng(static_cast<uint64_t>(500 + r));
+      int64_t local = 0;
+      while (readers_live.load()) {
+        const Tuple t = RandomTuple(2, n, &reader_rng);
+        if (local % 2 == 0) {
+          (void)dynamic.Test(t);
+        } else {
+          (void)dynamic.Next(t);
+        }
+        if (++local % 64 == 0 && std::chrono::steady_clock::now() > deadline) {
+          readers_live.store(false);
+        }
+      }
+      probes.fetch_add(local);
+    });
+  }
+  int loaded_syncs = 0;
+  const double loaded_ms = median_sync_ms(&readers_live, &loaded_syncs);
+  const bool readers_timed_out = !readers_live.exchange(false);
+  for (std::thread& t : readers) t.join();
+
+  ASSERT_FALSE(readers_timed_out)
+      << "the repair lane finished " << loaded_syncs << " of " << kSyncs
+      << " syncs under readers before the deadline";
+  ASSERT_EQ(kSyncs, loaded_syncs);
+  EXPECT_GT(probes.load(), 0);
+  EXPECT_LE(loaded_ms, kMaxSlowdown * idle_ms + kWakeupSlackMs)
+      << "median sync " << loaded_ms << " ms under readers vs " << idle_ms
+      << " ms idle";
+  const DynamicEngine::UpdateStats stats = dynamic.stats();
+  EXPECT_EQ(2 * kSyncs, stats.batches);
+  EXPECT_TRUE(stats.in_sync);
 }
 
 }  // namespace
