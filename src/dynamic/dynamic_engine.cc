@@ -13,7 +13,10 @@ struct DynamicInstruments {
   obs::Counter* edits_applied;
   obs::Counter* edits_noop;
   obs::Counter* batches;
-  obs::Counter* lazy_probes;
+  // One sample per lag-lane probe, from dropping the state lock to the
+  // answer; their counts add up to UpdateStats::lazy_probes.
+  obs::Histogram* lag_test_ns;
+  obs::Histogram* lag_next_ns;
   obs::Histogram* sync_us;
   // repair.* plane: the RepairStats breakdown as fleet-scrapeable
   // instruments (the per-stage walls feed experiment E18/E19 dashboards).
@@ -34,7 +37,8 @@ DynamicInstruments& Instruments() {
     m->edits_applied = reg.GetCounter("dynamic.edits_applied");
     m->edits_noop = reg.GetCounter("dynamic.edits_noop");
     m->batches = reg.GetCounter("dynamic.batches");
-    m->lazy_probes = reg.GetCounter("dynamic.lazy_probes");
+    m->lag_test_ns = reg.GetHistogram("dynamic.lag_test_ns");
+    m->lag_next_ns = reg.GetHistogram("dynamic.lag_next_ns");
     m->sync_us = reg.GetHistogram("dynamic.sync_us");
     m->repair_repairs = reg.GetCounter("repair.repairs");
     m->repair_rebuilds = reg.GetCounter("repair.full_rebuilds");
@@ -203,7 +207,6 @@ std::unique_ptr<BacktrackingEnumerator> DynamicEngine::TakeLagSearch(
     const ColoredGraph& pinned, const Tuple& probe) const {
   CheckProbe(probe, arity(), num_vertices_);
   lazy_probes_.fetch_add(1, std::memory_order_relaxed);
-  Instruments().lazy_probes->Increment();
   std::unique_ptr<BacktrackingEnumerator> search;
   {
     std::lock_guard<std::mutex> lock(lag_free_mu_);
@@ -235,9 +238,11 @@ std::optional<Tuple> DynamicEngine::Next(const Tuple& from) const {
     }
     pinned = serving_graph_;
   }
+  const int64_t start_ns = obs::NowNs();
   std::unique_ptr<BacktrackingEnumerator> search = TakeLagSearch(*pinned, from);
   std::optional<Tuple> out = search->Next(from);
   ReturnLagSearch(std::move(search));
+  Instruments().lag_next_ns->Record(obs::NowNs() - start_ns);
   return out;
 }
 
@@ -251,10 +256,12 @@ bool DynamicEngine::Test(const Tuple& tuple) const {
     }
     pinned = serving_graph_;
   }
+  const int64_t start_ns = obs::NowNs();
   std::unique_ptr<BacktrackingEnumerator> search =
       TakeLagSearch(*pinned, tuple);
   const bool out = search->Test(tuple);
   ReturnLagSearch(std::move(search));
+  Instruments().lag_test_ns->Record(obs::NowNs() - start_ns);
   return out;
 }
 

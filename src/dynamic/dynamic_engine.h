@@ -64,7 +64,9 @@ class DynamicEngine {
     EnumerationEngine::RepairStats last_repair;
     bool in_sync = true;
     int64_t engine_probes = 0;  // probes answered by the LNF engine
-    int64_t lazy_probes = 0;    // probes answered by the lag lane
+    // Probes answered by the lag lane; each is also one sample of the
+    // dynamic.lag_test_ns or dynamic.lag_next_ns histogram.
+    int64_t lazy_probes = 0;
   };
 
   // Takes ownership of the graph (the dynamic plane must be the only

@@ -19,7 +19,7 @@ void NaiveEvaluator::Rebind(const ColoredGraph& graph) {
 bool NaiveEvaluator::EvalDist(Vertex u, Vertex v, int64_t bound) {
   if (u == v) return true;
   // Bounded BFS from u; BfsScratch keeps this O(|N_bound(u)|).
-  scratch_.Neighborhood(*graph_, u, static_cast<int>(bound));
+  scratch_.Explore(*graph_, u, static_cast<int>(bound));
   return scratch_.DistanceTo(v) >= 0;
 }
 

@@ -25,6 +25,7 @@
 #include "fo/naive_eval.h"
 #include "fo/parser.h"
 #include "graph/colored_graph.h"
+#include "obs/metrics.h"
 #include "property_common.h"
 #include "util/lex.h"
 #include "util/rng.h"
@@ -577,7 +578,8 @@ TEST(UpdatePropertyTest, ConcurrentProbesAnswerForALiveVersion) {
 // lag-lane probe that held the state lock for its whole search would keep
 // the end-of-sync flip from ever getting the lock exclusively; the
 // readers stop on their own at the deadline, so a starved lane fails the
-// test instead of hanging it.
+// test instead of hanging it. Every lag-lane probe lands in one of the
+// lane's latency histograms.
 TEST(UpdatePropertyTest, RepairLaneKeepsPaceWithSaturatingReaders) {
   constexpr int kSyncs = 40;
   constexpr double kMaxSlowdown = 8.0;
@@ -626,6 +628,14 @@ TEST(UpdatePropertyTest, RepairLaneKeepsPaceWithSaturatingReaders) {
   const double idle_ms = median_sync_ms(nullptr, &idle_syncs);
   ASSERT_EQ(kSyncs, idle_syncs);
 
+  const auto lag_samples = [] {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    return reg.GetHistogram("dynamic.lag_test_ns")->Read().count +
+           reg.GetHistogram("dynamic.lag_next_ns")->Read().count;
+  };
+  const int64_t samples_before = lag_samples();
+  const int64_t lazy_before = dynamic.stats().lazy_probes;
+
   std::atomic<bool> readers_live{true};
   const auto deadline = std::chrono::steady_clock::now() + kReaderDeadline;
   std::atomic<int64_t> probes{0};
@@ -664,6 +674,8 @@ TEST(UpdatePropertyTest, RepairLaneKeepsPaceWithSaturatingReaders) {
   const DynamicEngine::UpdateStats stats = dynamic.stats();
   EXPECT_EQ(2 * kSyncs, stats.batches);
   EXPECT_TRUE(stats.in_sync);
+  EXPECT_GT(stats.lazy_probes, lazy_before);
+  EXPECT_EQ(stats.lazy_probes - lazy_before, lag_samples() - samples_before);
 }
 
 }  // namespace
